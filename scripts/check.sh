@@ -20,22 +20,27 @@ cmake --build build-tsan
 # and membership-retraction races, the re-staging pumps draining while
 # membership flips, the checkpoint drain lane racing Save/Flush/
 # recovery, and the packing tier's chunk-map claim/publish/evict races
-# under concurrent readers, and the QoS fair queue / bandwidth
+# under concurrent readers (and the pack x peer rung's publish/retract
+# ordering), and the QoS fair queue / bandwidth
 # broker / admission controller / rate limiter racing concurrent
 # acquirers and waiters stay TSan-clean (docs/OBSERVABILITY.md,
 # DESIGN.md "Failure model", "Cooperative peer cache", "Cluster failure
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 # ... and the rest of the suite.
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ./build-asan/tests/monarch_tests
+# Repeat leg: the ring's batch sort, the pack x peer rung and chunk
+# staging race placement and eviction; one pass rarely hits the window.
+./build-asan/tests/monarch_tests \
+    --gtest_filter='ReadRing*:PackPeer*:Chunk*' --gtest_repeat=20
 
 echo "benches (quick pass):"
 MONARCH_BENCH_RUNS=1 MONARCH_BENCH_SCALE=0.15 MONARCH_BENCH_EPOCHS=2 \

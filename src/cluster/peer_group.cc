@@ -9,6 +9,7 @@
 #include "net/peer_engine.h"
 #include "obs/event_tracer.h"
 #include "obs/json.h"
+#include "pack/chunk_map.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -38,7 +39,11 @@ class GroupResolver final : public net::PeerEngine::Resolver {
 
   Result<Holder> ResolveHolder(const std::string& path,
                                std::span<const int> exclude) override {
-    std::vector<int> candidates = group_->directory().PlacedHolders(path, self_);
+    // Pack mode reads a holder's chunk objects ("name#cN"); the directory
+    // keys by the file they belong to ('#' is reserved in pack names).
+    const std::optional<std::string_view> file = pack::ChunkObjectFile(path);
+    std::vector<int> candidates = group_->directory().PlacedHolders(
+        file.has_value() ? std::string(*file) : path, self_);
     std::erase_if(candidates, [&](int node) {
       return std::find(exclude.begin(), exclude.end(), node) != exclude.end();
     });

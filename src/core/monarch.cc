@@ -291,7 +291,7 @@ Monarch::Monarch(MonarchConfig config,
       "pack-mode reads fully served from resident chunks on a cache tier");
   chunk_misses_counter_ = registry.GetCounter(
       "monarch.chunk.misses", "ops",
-      "pack-mode reads that touched the PFS (non-resident chunks)");
+      "pack-mode reads not served from resident local chunks (peer or PFS)");
   // Multi-tenant QoS (ISSUE 10): the broker sits under every tier driver
   // so each byte — demand reads, staging writes, checkpoint drains — is
   // charged to the ambient tenant, with this instance's identity as the
@@ -377,6 +377,59 @@ int Monarch::ServingLevelHint(std::string_view name) const {
   return hierarchy_->pfs_level();
 }
 
+namespace {
+
+/// The leading bytes of an offset-0 read, donated to the staging task
+/// it may trigger (empty otherwise).
+std::span<const std::byte> DonatedPrefix(std::uint64_t offset,
+                                         std::span<const std::byte> dst,
+                                         std::size_t n) {
+  return offset == 0 && n > 0 ? dst.subspan(0, n)
+                              : std::span<const std::byte>{};
+}
+
+}  // namespace
+
+template <typename Fetch>
+auto Monarch::TryPeerRung(const FileInfo& info, Fetch&& fetch)
+    -> std::optional<std::invoke_result_t<Fetch&, StorageDriver&>> {
+  // Peer rung: a PFS-bound read of a file that another node
+  // already staged is closer over the interconnect than on the shared
+  // PFS. Try it when the cluster directory advertises a remote copy and
+  // the peer breaker admits requests. (`info.name` is the owned key — no
+  // temporary for the directory lookup.)
+  const int peer = hierarchy_->peer_level();
+  if (peer < 0 || config_.peer_view == nullptr ||
+      !config_.peer_view->HasRemoteCopy(info.name)) {
+    return std::nullopt;
+  }
+  StorageDriver& driver = hierarchy_->Level(peer);
+  if (!driver.health().AllowRequest()) {
+    CountDegradedFallback("circuit_open", info.name, peer);
+    return std::nullopt;
+  }
+  auto served = fetch(driver);
+  if (served.ok()) return served;
+  // Peer failures are counted apart so the cluster benches can reconcile
+  // interconnect rescue traffic: kNotFound is a holder that lost its
+  // copy, anything else (fabric, holder device, failed verification) an
+  // error. Either way the caller falls through to the PFS.
+  CountDegradedFallback(served.status().code() == StatusCode::kNotFound
+                            ? "peer_miss"
+                            : "peer_error",
+                        info.name, peer);
+  return std::nullopt;
+}
+
+void Monarch::CountTierFailure(const Status& status, std::string_view name,
+                               int level) {
+  if (status.code() == StatusCode::kNotFound) {
+    if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
+  } else {
+    CountDegradedFallback("tier_error", name, level);
+  }
+}
+
 Result<std::size_t> Monarch::ReadImpl(std::string_view name,
                                       std::uint64_t offset,
                                       std::span<std::byte> dst) {
@@ -399,32 +452,29 @@ Result<std::size_t> Monarch::ReadImpl(std::string_view name,
   // ① consult the namespace for the file's current level, ② read from
   // that tier's driver — unless its circuit breaker is open, in which
   // case the tier is skipped without a doomed attempt. The file's only
-  // other copy is the authoritative one on the PFS, so every rung of the
-  // degradation ladder lands there.
+  // other copies are a peer's and the authoritative one on the PFS, so
+  // every rung of the degradation ladder lands there.
   const int pfs = hierarchy_->pfs_level();
-  const int peer = hierarchy_->peer_level();
   int level = info->level.load(std::memory_order_acquire);
   if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
     CountDegradedFallback("circuit_open", name, level);
     level = pfs;
   }
 
-  // Peer rung (ISSUE 4): a PFS-resident file that another node already
-  // staged is closer over the interconnect than on the shared PFS. Route
-  // the read to the peer level when the cluster directory advertises a
-  // remote copy and the peer breaker admits requests. (`info->name` is
-  // the owned key — no temporary for the directory lookup.)
-  if (level == pfs && peer >= 0 && config_.peer_view != nullptr &&
-      config_.peer_view->HasRemoteCopy(info->name)) {
-    if (hierarchy_->Level(peer).health().AllowRequest()) {
-      level = peer;
-    } else {
-      CountDegradedFallback("circuit_open", name, peer);
+  if (level == pfs) {
+    auto peer_read = TryPeerRung(*info, [&](StorageDriver& peer) {
+      return peer.Read(name, offset, dst);
+    });
+    if (peer_read.has_value()) {
+      FinishRead(info, name, hierarchy_->peer_level(), offset,
+                 peer_read->value(),
+                 DonatedPrefix(offset, dst, peer_read->value()));
+      return *std::move(peer_read);
     }
   }
 
   auto read = hierarchy_->Level(level).Read(name, offset, dst);
-  if (read.ok() && level != pfs && level != peer &&
+  if (read.ok() && level != pfs &&
       !VerifyTierRead(info, level, offset, dst, read.value())) {
     // The staged copy is corrupt: it has been quarantined; re-read the
     // authoritative bytes.
@@ -433,30 +483,18 @@ Result<std::size_t> Monarch::ReadImpl(std::string_view name,
     read = hierarchy_->Level(level).Read(name, offset, dst);
   }
   if (!read.ok() && level != pfs) {
-    // Any upper-tier failure degrades to the PFS rather than surfacing to
+    // Any cache-tier failure degrades to the PFS rather than surfacing to
     // the framework: kNotFound means the copy vanished (eviction race or
     // quarantine on another thread); everything else is a tier fault that
-    // survived the driver's retries. Peer failures are counted apart so
-    // the cluster benches can reconcile interconnect rescue traffic.
-    if (level == peer) {
-      CountDegradedFallback(read.status().code() == StatusCode::kNotFound
-                                ? "peer_miss"
-                                : "peer_error",
-                            name, level);
-    } else if (read.status().code() == StatusCode::kNotFound) {
-      if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-    } else {
-      CountDegradedFallback("tier_error", name, level);
-    }
+    // survived the driver's retries.
+    CountTierFailure(read.status(), name, level);
     level = pfs;
     read = hierarchy_->Level(level).Read(name, offset, dst);
   }
   if (!read.ok()) return read;
 
   FinishRead(info, name, level, offset, read.value(),
-             offset == 0 && read.value() > 0
-                 ? std::span<const std::byte>(dst.data(), read.value())
-                 : std::span<const std::byte>{});
+             DonatedPrefix(offset, dst, read.value()));
   return read;
 }
 
@@ -489,25 +527,30 @@ Result<ReadLease> Monarch::ReadZeroCopyImpl(std::string_view name,
 
   // Same degradation ladder as ReadImpl, running over lent views.
   const int pfs = hierarchy_->pfs_level();
-  const int peer = hierarchy_->peer_level();
   int level = info->level.load(std::memory_order_acquire);
   if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
     CountDegradedFallback("circuit_open", name, level);
     level = pfs;
   }
-  if (level == pfs && peer >= 0 && config_.peer_view != nullptr &&
-      config_.peer_view->HasRemoteCopy(info->name)) {
-    if (hierarchy_->Level(peer).health().AllowRequest()) {
-      level = peer;
-    } else {
-      CountDegradedFallback("circuit_open", name, peer);
+
+  if (level == pfs) {
+    auto peer_view = TryPeerRung(*info, [&](StorageDriver& peer) {
+      return peer.ReadZeroCopy(name, offset, max_bytes, allow_zero_copy);
+    });
+    if (peer_view.has_value()) {
+      const int peer = hierarchy_->peer_level();
+      FinishRead(info, name, peer, offset, peer_view->value().size(),
+                 offset == 0 ? peer_view->value().data()
+                             : std::span<const std::byte>{});
+      pin_transferred = true;
+      return ReadLease(std::move(*peer_view).value(), std::move(info), peer);
     }
   }
 
   auto view =
       hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
                                             allow_zero_copy);
-  if (view.ok() && level != pfs && level != peer &&
+  if (view.ok() && level != pfs &&
       !VerifyTierRead(info, level, offset, view.value().data(),
                       view.value().size())) {
     // The staged copy is corrupt and has been quarantined; drop the
@@ -518,16 +561,7 @@ Result<ReadLease> Monarch::ReadZeroCopyImpl(std::string_view name,
                                                  allow_zero_copy);
   }
   if (!view.ok() && level != pfs) {
-    if (level == peer) {
-      CountDegradedFallback(view.status().code() == StatusCode::kNotFound
-                                ? "peer_miss"
-                                : "peer_error",
-                            name, level);
-    } else if (view.status().code() == StatusCode::kNotFound) {
-      if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-    } else {
-      CountDegradedFallback("tier_error", name, level);
-    }
+    CountTierFailure(view.status(), name, level);
     level = pfs;
     view = hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
                                                  allow_zero_copy);
@@ -635,21 +669,75 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
     // performance, never wrong bytes.
     MLOG_WARN << "staged chunk '" << object << "' on tier '" << tier.name()
               << "' failed verification; dropping it";
-    std::lock_guard lock(cm.placement_mutex());
-    const std::uint64_t stored = cm.TryEvict(chunk);
-    if (stored > 0) {
-      (void)tier.Delete(object);
-      tier.Release(stored);
+    {
+      std::lock_guard lock(cm.placement_mutex());
+      (void)placement_->DropChunkLocked(*info, cm, chunk, tier);
     }
     CountDegradedFallback("corruption", info->name, level);
-  } else if (error.code() == StatusCode::kNotFound) {
-    // Eviction race: the chunk vanished between the residency check and
-    // the read. Same accounting as the whole-file fallback.
-    if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
   } else {
-    CountDegradedFallback("tier_error", info->name, level);
+    // kNotFound is an eviction race (the chunk vanished between the
+    // residency check and the read): same accounting as the whole-file
+    // fallback.
+    CountTierFailure(error, info->name, level);
   }
   return false;
+}
+
+Monarch::PeerFile Monarch::TryPeerChunked(const FileInfo& info,
+                                          const pack::ChunkMap& cm,
+                                          std::uint64_t offset,
+                                          std::uint64_t length) {
+  // Peers serve a chunked file only whole, verified against the pack
+  // index's per-file CRC: a loose file has no such CRC, and a partial
+  // read of a multi-chunk file would drag the whole file across the
+  // fabric to serve a slice.
+  if (pack_index_ == nullptr || length == 0 || cm.ChunkOf(offset) != 0 ||
+      cm.ChunkOf(offset + length - 1) + 1 != cm.num_chunks()) {
+    return nullptr;
+  }
+  const pack::PackEntry* entry = pack_index_->Find(info.name);
+  if (entry == nullptr || entry->length != info.size) return nullptr;
+  auto fetched = TryPeerRung(info, [&](StorageDriver& peer) {
+    return FetchPeerFile(info, cm, entry->crc32c, peer);
+  });
+  return fetched.has_value() ? std::move(*fetched).value() : nullptr;
+}
+
+Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
+                                                 const pack::ChunkMap& cm,
+                                                 std::uint32_t crc,
+                                                 StorageDriver& peer) {
+  // The holder's chunk objects cross the fabric as stored (compressed)
+  // bytes and are decoded here. Its per-chunk CRCs live in its own chunk
+  // map, out of reach, so the whole decoded file is checked against the
+  // pack index instead: no peer byte reaches a caller unverified.
+  const pack::Codec* codec = placement_->pack_codec();
+  auto logical = std::make_shared<std::vector<std::byte>>(info.size);
+  thread_local std::vector<std::byte> stored;
+  for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+    const std::span<std::byte> chunk(logical->data() + cm.ChunkOffset(c),
+                                     cm.ChunkLogicalBytes(c));
+    const std::string& object = ChunkObjectNameTL(info.name, c);
+    if (codec == nullptr) {
+      MONARCH_ASSIGN_OR_RETURN(const std::size_t n,
+                               peer.Read(object, 0, chunk));
+      if (n != chunk.size()) {
+        return DataLossError("short peer chunk '" + object + "'");
+      }
+      continue;
+    }
+    stored.resize(codec->MaxStoredSize(chunk.size()));
+    MONARCH_ASSIGN_OR_RETURN(const std::size_t n,
+                             peer.Read(object, 0, stored));
+    const obs::TraceSpan span("pack.decompress", "core");
+    MONARCH_RETURN_IF_ERROR(
+        codec->Decode(std::span<const std::byte>(stored.data(), n), chunk));
+  }
+  if (Crc32c(std::span<const std::byte>(*logical)) != crc) {
+    return DataLossError("peer copy of '" + info.name +
+                         "' does not match its pack index CRC");
+  }
+  return PeerFile(std::move(logical));
 }
 
 void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
@@ -679,12 +767,14 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
   placement_->ScheduleChunkPlacement(info, std::move(claimed));
 }
 
-void Monarch::FinishChunkedMiss(std::string_view name, std::uint64_t offset,
+void Monarch::FinishChunkedMiss(const FileInfoPtr& info, pack::ChunkMap& cm,
+                                std::string_view name, int level,
+                                std::uint64_t offset,
                                 std::size_t bytes_read) {
+  if (bytes_read > 0) TriggerChunkStaging(info, cm, offset, bytes_read);
   chunk_misses_.fetch_add(1, std::memory_order_relaxed);
   if (chunk_misses_counter_ != nullptr) chunk_misses_counter_->Increment();
-  auto& counters =
-      *served_[static_cast<std::size_t>(hierarchy_->pfs_level())];
+  auto& counters = *served_[static_cast<std::size_t>(level)];
   counters.reads.fetch_add(1, std::memory_order_relaxed);
   counters.bytes.fetch_add(bytes_read, std::memory_order_relaxed);
   if (offset == 0 && hints_active_.load(std::memory_order_acquire)) {
@@ -737,16 +827,22 @@ Result<std::size_t> Monarch::ReadChunkedImpl(const FileInfoPtr& info,
     }
   }
 
-  // Miss (or partially resident, or the tier is sick): the request is
-  // served by the authoritative PFS copy — through the pack index when
-  // the dataset is packed — and the touched chunks are claimed for
-  // background staging. PFS bytes scale with bytes *touched*.
+  // Miss (or partially resident, or the tier is sick). A packed file
+  // another node holds whole is fetched from it and verified; otherwise
+  // the request is served by the authoritative PFS copy — through the
+  // pack index when the dataset is packed. Either way the touched chunks
+  // are claimed for background staging (if this node owns the file), so
+  // PFS bytes scale with bytes *touched*.
+  if (const PeerFile whole = TryPeerChunked(*info, *cm, offset, length)) {
+    std::copy_n(whole->begin() + static_cast<std::ptrdiff_t>(offset), length,
+                dst.begin());
+    FinishChunkedMiss(info, *cm, name, hierarchy_->peer_level(), offset,
+                      static_cast<std::size_t>(length));
+    return static_cast<std::size_t>(length);
+  }
   auto read = hierarchy_->Level(pfs).Read(name, offset, dst);
   if (!read.ok()) return read;
-  if (read.value() > 0) {
-    TriggerChunkStaging(info, *cm, offset, read.value());
-  }
-  FinishChunkedMiss(name, offset, read.value());
+  FinishChunkedMiss(info, *cm, name, pfs, offset, read.value());
   return read;
 }
 
@@ -784,14 +880,7 @@ Result<ReadLease> Monarch::ReadZeroCopyChunkedImpl(
           pin_transferred = true;
           return ReadLease(std::move(view).value(), std::move(info), level);
         }
-        if (!view.ok() &&
-            view.status().code() == StatusCode::kNotFound) {
-          if (read_pfs_fallbacks_ != nullptr) {
-            read_pfs_fallbacks_->Increment();
-          }
-        } else if (!view.ok()) {
-          CountDegradedFallback("tier_error", name, level);
-        }
+        if (!view.ok()) CountTierFailure(view.status(), name, level);
       } else {
         // Compressed chunk: decode the whole chunk into a heap buffer
         // the returned view keeps alive (zero_copy() reports false —
@@ -815,15 +904,23 @@ Result<ReadLease> Monarch::ReadZeroCopyChunkedImpl(
     }
   }
 
-  // Miss: lend from the PFS (the pack layer serves packed names out of
-  // their extents) and claim whatever the view actually covered.
+  // Miss: a packed file another node holds whole is fetched, verified
+  // and lent from a heap buffer; otherwise lend from the PFS (the pack
+  // layer serves packed names out of their extents). Claim whatever the
+  // view actually covered.
+  if (PeerFile whole = TryPeerChunked(*info, *cm, offset, length)) {
+    const int peer = hierarchy_->peer_level();
+    const std::span<const std::byte> data(whole->data() + offset,
+                                          static_cast<std::size_t>(length));
+    storage::ReadView view(data, std::move(whole), /*zero_copy=*/false);
+    FinishChunkedMiss(info, *cm, name, peer, offset, data.size());
+    pin_transferred = true;
+    return ReadLease(std::move(view), std::move(info), peer);
+  }
   auto view = hierarchy_->Level(pfs).ReadZeroCopy(name, offset, max_bytes,
                                                   allow_zero_copy);
   if (!view.ok()) return view.status();
-  if (view.value().size() > 0) {
-    TriggerChunkStaging(info, *cm, offset, view.value().size());
-  }
-  FinishChunkedMiss(name, offset, view.value().size());
+  FinishChunkedMiss(info, *cm, name, pfs, offset, view.value().size());
   pin_transferred = true;
   return ReadLease(std::move(view).value(), std::move(info), pfs);
 }
@@ -1120,6 +1217,11 @@ std::uint64_t Monarch::ReadvertisePlacedCopies() {
     FileInfoPtr info = metadata_.Lookup(entry.name);
     if (!info ||
         info->state.load(std::memory_order_acquire) != PlacementState::kPlaced) {
+      continue;
+    }
+    // A chunked file is advertised only while its copy is complete.
+    if (const pack::ChunkMap* cm = info->chunk_map();
+        cm != nullptr && cm->ResidentCount() != cm->num_chunks()) {
       continue;
     }
     config_.peer_view->OnStaged(entry.name,

@@ -26,6 +26,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -314,12 +315,48 @@ class Monarch {
   void CountDegradedFallback(const char* cause, std::string_view name,
                              int level);
 
+  /// A local cache-tier read failed with `status`: kNotFound is an
+  /// eviction race (`monarch.read.pfs_fallbacks`), anything else a
+  /// "tier_error" degraded fallback.
+  void CountTierFailure(const Status& status, std::string_view name,
+                        int level);
+
+  /// The peer rung every read ladder shares: when another node
+  /// advertises a copy of `info` and the peer breaker admits requests,
+  /// run `fetch(peer_driver)` and return its (successful) result.
+  /// Otherwise return nullopt — after counting an open breaker as
+  /// "circuit_open" and a failed fetch as "peer_miss" (kNotFound) or
+  /// "peer_error" — and the caller continues to the PFS.
+  template <typename Fetch>
+  auto TryPeerRung(const FileInfo& info, Fetch&& fetch)
+      -> std::optional<std::invoke_result_t<Fetch&, StorageDriver&>>;
+
+  /// A packed file fetched whole from a peer and verified.
+  using PeerFile = std::shared_ptr<const std::vector<std::byte>>;
+
+  /// The peer rung of the chunked ladders: the whole logical file when a
+  /// peer serves it, else nullptr (the caller reads the PFS). Only
+  /// packed files qualify (a loose file has no pack index CRC to verify
+  /// against), and only requests spanning every chunk of the file (a
+  /// whole-file read, or any read of a single-chunk file).
+  PeerFile TryPeerChunked(const FileInfo& info, const pack::ChunkMap& cm,
+                          std::uint64_t offset, std::uint64_t length);
+
+  /// Read every chunk object of `info` from a peer holder, decode them
+  /// and check the whole logical file against the pack index CRC `crc`.
+  /// DATA_LOSS on a short chunk, a decode error or a CRC mismatch; the
+  /// peer driver's status on a failed read.
+  Result<PeerFile> FetchPeerFile(const FileInfo& info,
+                                 const pack::ChunkMap& cm, std::uint32_t crc,
+                                 StorageDriver& peer);
+
   /// Pack mode (ISSUE 9): serve [offset, offset + dst.size()) of a
   /// chunked file. When every overlapping chunk is resident, the request
   /// is served chunk by chunk from the assigned tier (decoding through
-  /// the staging codec); otherwise the whole request reads from the
-  /// authoritative PFS — so PFS traffic scales with bytes *touched* —
-  /// and the touched chunks are claimed for demand staging.
+  /// the staging codec); otherwise the whole request reads from a peer's
+  /// complete copy (TryPeerChunked) or the authoritative PFS — so PFS
+  /// traffic scales with bytes *touched* — and the touched chunks are
+  /// claimed for demand staging.
   Result<std::size_t> ReadChunkedImpl(const FileInfoPtr& info,
                                       std::string_view name,
                                       std::uint64_t offset,
@@ -328,9 +365,10 @@ class Monarch {
   /// Pack mode, zero-copy lane. A resident first chunk serves a view
   /// clipped to the chunk boundary (short views are legal — callers
   /// loop); the compressed codec decodes into a heap buffer the view
-  /// keeps alive (zero_copy() reports false). Anything else falls back
-  /// to the PFS. Sets `pin_transferred` when the returned lease took
-  /// over the caller's read pin.
+  /// keeps alive (zero_copy() reports false). Anything else is lent from
+  /// a peer's verified copy (TryPeerChunked) or the PFS. Sets
+  /// `pin_transferred` when the returned lease took over the caller's
+  /// read pin.
   Result<ReadLease> ReadZeroCopyChunkedImpl(FileInfoPtr info,
                                             std::string_view name,
                                             std::uint64_t offset,
@@ -354,11 +392,13 @@ class Monarch {
   void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                            std::uint64_t offset, std::uint64_t length);
 
-  /// Shared tail of the pack-mode PFS miss paths: serve counters and
-  /// the prefetch-cursor advance, WITHOUT the whole-file staging
-  /// trigger of FinishRead (pack mode stages chunks, never files).
-  void FinishChunkedMiss(std::string_view name, std::uint64_t offset,
-                         std::size_t bytes_read);
+  /// Shared tail of the pack-mode miss paths (served by the peer or the
+  /// PFS `level`): chunk staging of the touched range, serve counters
+  /// and the prefetch-cursor advance — never FinishRead's whole-file
+  /// staging (pack mode stages chunks, never files).
+  void FinishChunkedMiss(const FileInfoPtr& info, pack::ChunkMap& cm,
+                         std::string_view name, int level,
+                         std::uint64_t offset, std::size_t bytes_read);
 
   /// A demand read of `name` landed: advance the prefetch cursor past it
   /// and top up the look-ahead window with new PREFETCH-lane claims.

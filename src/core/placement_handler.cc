@@ -691,31 +691,50 @@ std::optional<int> PlacementHandler::EvictAndReserve(const FileInfoPtr& file,
   // The policy ranks; this loop claims and drops. Re-ask PickLevel after
   // each successful eviction — freed space is first-come-first-served
   // under concurrent workers, so the reservation is the only proof.
-  // Low-retention (scan) copies are tried first: they are explicitly
-  // marked expendable, so demand working sets survive pressure longest.
-  std::vector<FileInfoPtr> victims = policy_->SelectVictims(
-      metadata_, *file, lane == StagingLane::kDemand);
-  if (options_.qos.enabled) {
-    std::stable_partition(victims.begin(), victims.end(),
-                          [](const FileInfoPtr& v) {
-                            return v->low_retention.load(
-                                std::memory_order_acquire);
-                          });
-  }
-  for (const FileInfoPtr& victim : victims) {
+  for (const FileInfoPtr& victim : RankVictims(file, lane)) {
     if (victim == file) continue;
     if (!EvictOne(victim)) continue;
     if (auto level = policy_->PickLevel(hierarchy_, bytes)) return level;
   }
+  NoteEvictionRefused(*file, bytes);
+  return std::nullopt;
+}
+
+std::vector<FileInfoPtr> PlacementHandler::RankVictims(
+    const FileInfoPtr& incoming, StagingLane lane) {
+  std::vector<FileInfoPtr> victims = policy_->SelectVictims(
+      metadata_, *incoming, lane == StagingLane::kDemand);
+  if (!options_.qos.enabled) return victims;
+  // Low-retention (scan) copies are tried first: they are explicitly
+  // marked expendable, so demand working sets survive pressure longest.
+  // The flags are live atomics that staging and eviction flip
+  // concurrently, so they are snapshotted once: a partition predicate
+  // whose answer changes mid-partition breaks the algorithm's
+  // preconditions.
+  std::vector<char> low(victims.size());
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    low[i] = victims[i]->low_retention.load(std::memory_order_acquire);
+  }
+  std::vector<FileInfoPtr> ranked;
+  ranked.reserve(victims.size());
+  for (const bool pass : {true, false}) {
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if ((low[i] != 0) == pass) ranked.push_back(victims[i]);
+    }
+  }
+  return ranked;
+}
+
+void PlacementHandler::NoteEvictionRefused(const FileInfo& file,
+                                           std::uint64_t bytes) {
   eviction_refused_.fetch_add(1, std::memory_order_relaxed);
   eviction_refused_counter_->Increment();
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant("placement.evict_refused", "placement",
-                         "\"file\":" + obs::JsonQuote(file->name) +
+                         "\"file\":" + obs::JsonQuote(file.name) +
                              ",\"bytes\":" + std::to_string(bytes));
   }
-  return std::nullopt;
 }
 
 void PlacementHandler::ReleaseChunkClaims(const StagingTask& task) {
@@ -746,10 +765,8 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
     std::lock_guard lock(cm->placement_mutex());
     for (std::uint32_t c = 0;
          c < cm->num_chunks() && freed < needed_bytes; ++c) {
-      const std::uint64_t stored = cm->TryEvict(c);
+      const std::uint64_t stored = DropChunkLocked(vf, *cm, c, tier);
       if (stored == 0) continue;
-      (void)tier.Delete(pack::ChunkObjectName(vf.name, c));
-      tier.Release(stored);
       freed += stored;
       ++dropped;
     }
@@ -785,6 +802,22 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
   return freed;
 }
 
+std::uint64_t PlacementHandler::DropChunkLocked(const FileInfo& file,
+                                                pack::ChunkMap& cm,
+                                                std::uint32_t chunk,
+                                                StorageDriver& tier) {
+  const bool was_complete = cm.ResidentCount() == cm.num_chunks();
+  const std::uint64_t stored = cm.TryEvict(chunk);
+  if (stored == 0) return 0;
+  // Peers fetch a chunked file only as a whole (and verify it against
+  // the pack index), so the directory advertises complete copies only:
+  // retract the ad before the first chunk's bytes go.
+  if (was_complete && peer_view_ != nullptr) peer_view_->OnDropped(file.name);
+  (void)tier.Delete(pack::ChunkObjectName(file.name, chunk));
+  tier.Release(stored);
+  return stored;
+}
+
 bool PlacementHandler::EvictForChunkOn(int level, const FileInfoPtr& incoming,
                                        std::uint64_t stored_bytes,
                                        StagingLane lane) {
@@ -794,16 +827,7 @@ bool PlacementHandler::EvictForChunkOn(int level, const FileInfoPtr& incoming,
           : policy_->PrefetchMayEvict();
   if (!may_evict) return false;
   StorageDriver& tier = hierarchy_.Level(level);
-  std::vector<FileInfoPtr> victims = policy_->SelectVictims(
-      metadata_, *incoming, lane == StagingLane::kDemand);
-  if (options_.qos.enabled) {
-    std::stable_partition(victims.begin(), victims.end(),
-                          [](const FileInfoPtr& v) {
-                            return v->low_retention.load(
-                                std::memory_order_acquire);
-                          });
-  }
-  for (const FileInfoPtr& victim : victims) {
+  for (const FileInfoPtr& victim : RankVictims(incoming, lane)) {
     if (victim == incoming) continue;
     // Only victims resident on this level can free room here: the
     // incoming file's chunks are pinned to `level` by the tier
@@ -817,14 +841,7 @@ bool PlacementHandler::EvictForChunkOn(int level, const FileInfoPtr& incoming,
     if (!EvictOne(victim)) continue;
     if (tier.Reserve(stored_bytes)) return true;
   }
-  eviction_refused_.fetch_add(1, std::memory_order_relaxed);
-  eviction_refused_counter_->Increment();
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.evict_refused", "placement",
-                         "\"file\":" + obs::JsonQuote(incoming->name) +
-                             ",\"bytes\":" + std::to_string(stored_bytes));
-  }
+  NoteEvictionRefused(*incoming, stored_bytes);
   return false;
 }
 
@@ -952,7 +969,14 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
     }
     {
       std::lock_guard lock(cm->placement_mutex());
-      if (cm->Publish(c, meta) == 1) {
+      const std::uint32_t resident = cm->Publish(c, meta);
+      // Advertise the copy once it is complete — peers fetch chunked
+      // files whole. Under the placement mutex, so the ad can never be
+      // ordered after a concurrent eviction's retraction.
+      if (resident == cm->num_chunks() && peer_view_ != nullptr) {
+        peer_view_->OnStaged(file->name, *level);
+      }
+      if (resident == 1) {
         // First resident chunk: the file now serves (partially) from a
         // tier. Flip the whole-file state so the eviction policies see
         // it as placed and readers route offset lookups via the map.

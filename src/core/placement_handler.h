@@ -240,6 +240,14 @@ class PlacementHandler {
     return EvictChunks(file, std::numeric_limits<std::uint64_t>::max());
   }
 
+  /// Drop resident chunk `chunk` of `file` from `tier`: clear its
+  /// residency bit, retract the cluster-directory advertisement when the
+  /// file's copy was complete, delete the chunk object and release its
+  /// quota. Returns the stored bytes freed (0 = it was not resident).
+  /// Caller holds cm.placement_mutex().
+  std::uint64_t DropChunkLocked(const FileInfo& file, pack::ChunkMap& cm,
+                                std::uint32_t chunk, StorageDriver& tier);
+
   /// Forward the whole-run demand access sequence to the policy
   /// (Monarch::InstallRunSchedule; the clairvoyant policy consumes it).
   void InstallSchedule(const std::vector<std::string>& sequence);
@@ -327,6 +335,12 @@ class PlacementHandler {
   /// or the freed space still was not enough.
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
                                      StagingLane lane, std::uint64_t bytes);
+  /// The policy's victim ranking for `incoming`, with low-retention
+  /// (scan) copies moved first when QoS is on.
+  std::vector<FileInfoPtr> RankVictims(const FileInfoPtr& incoming,
+                                       StagingLane lane);
+  /// Count (and trace) an eviction walk that could not make room.
+  void NoteEvictionRefused(const FileInfo& file, std::uint64_t bytes);
   /// Drop one placed copy: claim it (kPlaced -> kFetching), honour read
   /// pins, delete the bytes, release the quota, notify the peer view.
   /// Returns false when the claim failed or the file was pinned. A

@@ -1,5 +1,6 @@
 #include "net/peer_engine.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -41,9 +42,17 @@ Result<PeerEngine::Resolver::Holder> PeerEngine::ResolveReachable(
   return holder;
 }
 
-Result<std::size_t> PeerEngine::Read(std::string_view path_view,
-                                     std::uint64_t offset,
-                                     std::span<std::byte> dst) {
+namespace {
+
+std::size_t BytesOf(std::size_t n) { return n; }
+std::size_t BytesOf(const storage::ReadView& view) { return view.size(); }
+
+}  // namespace
+
+template <typename ReadFn>
+auto PeerEngine::ReadFromHolders(std::string_view path_view, ReadFn&& read)
+    -> std::invoke_result_t<ReadFn&, storage::StorageEngine&,
+                            const std::string&> {
   obs::TraceSpan span("peer.read", "net");
   const Stopwatch timer;
   // Resolver and failover bookkeeping key by owned string; one copy per
@@ -74,83 +83,55 @@ Result<std::size_t> PeerEngine::Read(std::string_view path_view,
       tried.push_back(holder.node);
       continue;
     }
-    auto read = holder.engine->Read(path, offset, dst);
-    if (read.ok()) {
-      resolver_->OnTransferDone(holder.node, true);
-      // The serving node's device really does the read (its cost is
-      // charged by that engine), then the bytes cross the fabric.
-      const std::size_t n = read.value();
-      network_->ChargeTransfer(n);
-      stats_.RecordRead(n, timer.Elapsed());
-      if (attempt > 0) {
-        failovers_->Increment();
-        obs::EventTracer& tracer = obs::EventTracer::Global();
-        if (tracer.enabled()) {
-          tracer.RecordInstant("peer.failover", "net",
-                               "\"file\":" + obs::JsonQuote(path) +
-                                   ",\"node\":" +
-                                   std::to_string(holder.node) +
-                                   ",\"attempt\":" + std::to_string(attempt));
-        }
-      }
-      if (span.active()) {
-        span.set_args_json("\"file\":" + obs::JsonQuote(path) +
-                           ",\"bytes\":" + std::to_string(n) +
-                           ",\"node\":" + std::to_string(holder.node));
-      }
-      return n;
+    auto result = read(*holder.engine, path);
+    if (!result.ok()) {
+      resolver_->OnTransferDone(holder.node, false);
+      last_failure = result.status();
+      tried.push_back(holder.node);
+      continue;
     }
-    resolver_->OnTransferDone(holder.node, false);
-    last_failure = read.status();
-    tried.push_back(holder.node);
+    resolver_->OnTransferDone(holder.node, true);
+    // The serving node's device really does the read (its cost is
+    // charged by that engine), then the bytes cross the fabric.
+    const std::size_t n = BytesOf(result.value());
+    network_->ChargeTransfer(n);
+    stats_.RecordRead(n, timer.Elapsed());
+    if (attempt > 0) {
+      failovers_->Increment();
+      obs::EventTracer& tracer = obs::EventTracer::Global();
+      if (tracer.enabled()) {
+        tracer.RecordInstant("peer.failover", "net",
+                             "\"file\":" + obs::JsonQuote(path) +
+                                 ",\"node\":" + std::to_string(holder.node) +
+                                 ",\"attempt\":" + std::to_string(attempt));
+      }
+    }
+    if (span.active()) {
+      span.set_args_json("\"file\":" + obs::JsonQuote(path) +
+                         ",\"bytes\":" + std::to_string(n) +
+                         ",\"node\":" + std::to_string(holder.node));
+    }
+    return result;
   }
   return last_failure;
 }
 
-Result<storage::ReadView> PeerEngine::ReadZeroCopy(std::string_view path_view,
+Result<std::size_t> PeerEngine::Read(std::string_view path,
+                                     std::uint64_t offset,
+                                     std::span<std::byte> dst) {
+  return ReadFromHolders(
+      path, [&](storage::StorageEngine& holder, const std::string& owned) {
+        return holder.Read(owned, offset, dst);
+      });
+}
+
+Result<storage::ReadView> PeerEngine::ReadZeroCopy(std::string_view path,
                                                    std::uint64_t offset,
                                                    std::uint64_t max_bytes) {
-  obs::TraceSpan span("peer.read", "net");
-  const Stopwatch timer;
-  const std::string path(path_view);
-  std::vector<int> tried;
-  Status last_failure = Status::Ok();
-  const int max_holders = std::max(1, options_.max_holders);
-  for (int attempt = 0; attempt < max_holders; ++attempt) {
-    auto holder_or = resolver_->ResolveHolder(path, tried);
-    if (!holder_or.ok()) {
-      return attempt == 0 ? holder_or.status() : last_failure;
-    }
-    const Resolver::Holder holder = std::move(holder_or).value();
-    resolver_->OnTransferStart(holder.node);
-    if (!network_->Reachable(options_.self_node, holder.node)) {
-      network_->ChargeRpcTimeout();
-      resolver_->OnTransferDone(holder.node, false);
-      last_failure =
-          UnavailableError("peer node " + std::to_string(holder.node) +
-                           " unreachable serving '" + path + "'");
-      tried.push_back(holder.node);
-      continue;
-    }
-    auto view = holder.engine->ReadZeroCopy(path, offset, max_bytes);
-    if (view.ok()) {
-      resolver_->OnTransferDone(holder.node, true);
-      const std::size_t n = view.value().size();
-      network_->ChargeTransfer(n);
-      stats_.RecordRead(n, timer.Elapsed());
-      if (attempt > 0) failovers_->Increment();
-      if (span.active()) {
-        span.set_args_json("\"file\":" + obs::JsonQuote(path) +
-                           ",\"bytes\":" + std::to_string(n) +
-                           ",\"node\":" + std::to_string(holder.node));
-      }
-      return view;
-    }
-    resolver_->OnTransferDone(holder.node, false);
-    last_failure = view.status();
-    tried.push_back(holder.node);
-  }
-  return last_failure;
+  return ReadFromHolders(
+      path, [&](storage::StorageEngine& holder, const std::string& owned) {
+        return holder.ReadZeroCopy(owned, offset, max_bytes);
+      });
 }
 
 Status PeerEngine::Write(const std::string& path,

@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "net/network_model.h"
 #include "storage/storage_engine.h"
@@ -97,6 +98,17 @@ class PeerEngine final : public storage::StorageEngine {
   /// timeout when the fabric says it is unreachable.
   Result<Resolver::Holder> ResolveReachable(const std::string& path,
                                             std::span<const int> exclude);
+
+  /// Replica failover shared by Read and ReadZeroCopy: run
+  /// `read(holder_engine, path)` against a live holder and, when it
+  /// fails, against the next one, up to max_holders. A success charges
+  /// the fabric for its bytes and records the peer read; a success after
+  /// a failed holder counts `net.peer_failover` and traces
+  /// `peer.failover`.
+  template <typename ReadFn>
+  auto ReadFromHolders(std::string_view path, ReadFn&& read)
+      -> std::invoke_result_t<ReadFn&, storage::StorageEngine&,
+                              const std::string&>;
 
   std::string name_;
   ResolverPtr resolver_;

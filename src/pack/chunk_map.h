@@ -25,9 +25,13 @@
 
 #include <atomic>
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace monarch::pack {
@@ -252,6 +256,25 @@ class ChunkMap {
 inline std::string ChunkObjectName(const std::string& file,
                                    std::uint32_t index) {
   return file + "#c" + std::to_string(index);
+}
+
+/// Inverse of ChunkObjectName: the file a chunk object belongs to, or
+/// nullopt when `object` is not a chunk-object name. Splits at the last
+/// "#c" followed by a canonical decimal index, so the mapping is exact
+/// for every name ChunkObjectName produces.
+inline std::optional<std::string_view> ChunkObjectFile(
+    std::string_view object) {
+  const std::size_t mark = object.rfind("#c");
+  if (mark == std::string_view::npos) return std::nullopt;
+  const std::string_view digits = object.substr(mark + 2);
+  if (digits.empty() || (digits.size() > 1 && digits.front() == '0')) {
+    return std::nullopt;
+  }
+  std::uint32_t index = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return object.substr(0, mark);
 }
 
 }  // namespace monarch::pack
