@@ -27,11 +27,13 @@ cmake --build build-tsan
 # DESIGN.md "Failure model", "Cooperative peer cache", "Cluster failure
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
-./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+# One list feeds both legs, so a suite added here is never missed by the
+# rest-of-suite leg. scripts/tsan.supp says why its one entry is there.
+tsan_suites='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp ${TSAN_OPTIONS:-}"
+./build-tsan/tests/monarch_tests --gtest_filter="$tsan_suites"
 # ... and the rest of the suite.
-./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+./build-tsan/tests/monarch_tests --gtest_filter="-$tsan_suites"
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -282,7 +282,7 @@ Monarch::Monarch(MonarchConfig config,
   read_degraded_fallbacks_ = registry.GetCounter(
       "monarch.read.degraded_fallbacks", "ops",
       "reads a cache tier failed to serve (error, open breaker, or corrupt "
-      "copy) that the PFS absorbed");
+      "copy) that the peer or the PFS absorbed");
   read_latency_ = registry.GetHistogram(
       "monarch.read.latency_us", "us",
       "end-to-end Monarch::Read latency distribution");
@@ -310,39 +310,6 @@ Monarch::Monarch(MonarchConfig config,
 }
 
 Monarch::~Monarch() { Shutdown(); }
-
-Result<std::size_t> Monarch::Read(std::string_view name, std::uint64_t offset,
-                                  std::span<std::byte> dst) {
-  // Instrumentation is lock-free: the counters/histogram below are
-  // relaxed atomics resolved at construction, and the span costs one
-  // atomic load while tracing is disabled.
-  const obs::TraceSpan span("monarch.read", "core");
-  if (read_requests_ != nullptr) read_requests_->Increment();
-  const Stopwatch timer;
-  auto result = ReadImpl(name, offset, dst);
-  if (result.ok()) {
-    if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
-  } else if (read_errors_ != nullptr) {
-    read_errors_->Increment();
-  }
-  return result;
-}
-
-Result<ReadLease> Monarch::ReadZeroCopy(std::string_view name,
-                                        std::uint64_t offset,
-                                        std::uint64_t max_bytes,
-                                        bool allow_zero_copy) {
-  const obs::TraceSpan span("monarch.read", "core");
-  if (read_requests_ != nullptr) read_requests_->Increment();
-  const Stopwatch timer;
-  auto result = ReadZeroCopyImpl(name, offset, max_bytes, allow_zero_copy);
-  if (result.ok()) {
-    if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
-  } else if (read_errors_ != nullptr) {
-    read_errors_->Increment();
-  }
-  return result;
-}
 
 Result<FileInfoPtr> Monarch::PrepareRead(std::string_view name,
                                          std::uint64_t offset) {
@@ -377,202 +344,13 @@ int Monarch::ServingLevelHint(std::string_view name) const {
   return hierarchy_->pfs_level();
 }
 
-namespace {
-
-/// The leading bytes of an offset-0 read, donated to the staging task
-/// it may trigger (empty otherwise).
-std::span<const std::byte> DonatedPrefix(std::uint64_t offset,
-                                         std::span<const std::byte> dst,
-                                         std::size_t n) {
-  return offset == 0 && n > 0 ? dst.subspan(0, n)
-                              : std::span<const std::byte>{};
-}
-
-}  // namespace
-
-template <typename Fetch>
-auto Monarch::TryPeerRung(const FileInfo& info, Fetch&& fetch)
-    -> std::optional<std::invoke_result_t<Fetch&, StorageDriver&>> {
-  // Peer rung: a PFS-bound read of a file that another node
-  // already staged is closer over the interconnect than on the shared
-  // PFS. Try it when the cluster directory advertises a remote copy and
-  // the peer breaker admits requests. (`info.name` is the owned key — no
-  // temporary for the directory lookup.)
-  const int peer = hierarchy_->peer_level();
-  if (peer < 0 || config_.peer_view == nullptr ||
-      !config_.peer_view->HasRemoteCopy(info.name)) {
-    return std::nullopt;
-  }
-  StorageDriver& driver = hierarchy_->Level(peer);
-  if (!driver.health().AllowRequest()) {
-    CountDegradedFallback("circuit_open", info.name, peer);
-    return std::nullopt;
-  }
-  auto served = fetch(driver);
-  if (served.ok()) return served;
-  // Peer failures are counted apart so the cluster benches can reconcile
-  // interconnect rescue traffic: kNotFound is a holder that lost its
-  // copy, anything else (fabric, holder device, failed verification) an
-  // error. Either way the caller falls through to the PFS.
-  CountDegradedFallback(served.status().code() == StatusCode::kNotFound
-                            ? "peer_miss"
-                            : "peer_error",
-                        info.name, peer);
-  return std::nullopt;
-}
-
 void Monarch::CountTierFailure(const Status& status, std::string_view name,
                                int level) {
   if (status.code() == StatusCode::kNotFound) {
     if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
   } else {
-    CountDegradedFallback("tier_error", name, level);
+    CountDegradedFallback(Fallback::kTierError, name, level);
   }
-}
-
-Result<std::size_t> Monarch::ReadImpl(std::string_view name,
-                                      std::uint64_t offset,
-                                      std::span<std::byte> dst) {
-  MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
-
-  // Pin the file for the duration of this read (ISSUE 6): an eviction
-  // that claims it while the pin is held reverts and picks another
-  // victim, so an in-flight demand read never loses its tier copy.
-  info->read_pins.fetch_add(1, std::memory_order_acq_rel);
-  struct PinGuard {
-    FileInfo* file;
-    ~PinGuard() { file->read_pins.fetch_sub(1, std::memory_order_acq_rel); }
-  } pin_guard{info.get()};
-
-  // Pack mode (ISSUE 9): chunk-granularity serve/claim path.
-  if (placement_->options().pack.enabled) {
-    return ReadChunkedImpl(info, name, offset, dst);
-  }
-
-  // ① consult the namespace for the file's current level, ② read from
-  // that tier's driver — unless its circuit breaker is open, in which
-  // case the tier is skipped without a doomed attempt. The file's only
-  // other copies are a peer's and the authoritative one on the PFS, so
-  // every rung of the degradation ladder lands there.
-  const int pfs = hierarchy_->pfs_level();
-  int level = info->level.load(std::memory_order_acquire);
-  if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
-    CountDegradedFallback("circuit_open", name, level);
-    level = pfs;
-  }
-
-  if (level == pfs) {
-    auto peer_read = TryPeerRung(*info, [&](StorageDriver& peer) {
-      return peer.Read(name, offset, dst);
-    });
-    if (peer_read.has_value()) {
-      FinishRead(info, name, hierarchy_->peer_level(), offset,
-                 peer_read->value(),
-                 DonatedPrefix(offset, dst, peer_read->value()));
-      return *std::move(peer_read);
-    }
-  }
-
-  auto read = hierarchy_->Level(level).Read(name, offset, dst);
-  if (read.ok() && level != pfs &&
-      !VerifyTierRead(info, level, offset, dst, read.value())) {
-    // The staged copy is corrupt: it has been quarantined; re-read the
-    // authoritative bytes.
-    CountDegradedFallback("corruption", name, level);
-    level = pfs;
-    read = hierarchy_->Level(level).Read(name, offset, dst);
-  }
-  if (!read.ok() && level != pfs) {
-    // Any cache-tier failure degrades to the PFS rather than surfacing to
-    // the framework: kNotFound means the copy vanished (eviction race or
-    // quarantine on another thread); everything else is a tier fault that
-    // survived the driver's retries.
-    CountTierFailure(read.status(), name, level);
-    level = pfs;
-    read = hierarchy_->Level(level).Read(name, offset, dst);
-  }
-  if (!read.ok()) return read;
-
-  FinishRead(info, name, level, offset, read.value(),
-             DonatedPrefix(offset, dst, read.value()));
-  return read;
-}
-
-Result<ReadLease> Monarch::ReadZeroCopyImpl(std::string_view name,
-                                            std::uint64_t offset,
-                                            std::uint64_t max_bytes,
-                                            bool allow_zero_copy) {
-  MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
-
-  // Same eviction pin as ReadImpl, but on success its ownership moves
-  // into the returned lease — the copy stays pinned until the caller is
-  // done with the lent bytes, not just until this call returns.
-  info->read_pins.fetch_add(1, std::memory_order_acq_rel);
-  bool pin_transferred = false;
-  struct PinGuard {
-    FileInfo* file;
-    const bool* transferred;
-    ~PinGuard() {
-      if (!*transferred) {
-        file->read_pins.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-  } pin_guard{info.get(), &pin_transferred};
-
-  // Pack mode (ISSUE 9): chunk-granularity zero-copy lane.
-  if (placement_->options().pack.enabled) {
-    return ReadZeroCopyChunkedImpl(info, name, offset, max_bytes,
-                                   allow_zero_copy, pin_transferred);
-  }
-
-  // Same degradation ladder as ReadImpl, running over lent views.
-  const int pfs = hierarchy_->pfs_level();
-  int level = info->level.load(std::memory_order_acquire);
-  if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
-    CountDegradedFallback("circuit_open", name, level);
-    level = pfs;
-  }
-
-  if (level == pfs) {
-    auto peer_view = TryPeerRung(*info, [&](StorageDriver& peer) {
-      return peer.ReadZeroCopy(name, offset, max_bytes, allow_zero_copy);
-    });
-    if (peer_view.has_value()) {
-      const int peer = hierarchy_->peer_level();
-      FinishRead(info, name, peer, offset, peer_view->value().size(),
-                 offset == 0 ? peer_view->value().data()
-                             : std::span<const std::byte>{});
-      pin_transferred = true;
-      return ReadLease(std::move(*peer_view).value(), std::move(info), peer);
-    }
-  }
-
-  auto view =
-      hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                            allow_zero_copy);
-  if (view.ok() && level != pfs &&
-      !VerifyTierRead(info, level, offset, view.value().data(),
-                      view.value().size())) {
-    // The staged copy is corrupt and has been quarantined; drop the
-    // tainted view and re-read the authoritative bytes.
-    CountDegradedFallback("corruption", name, level);
-    level = pfs;
-    view = hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                                 allow_zero_copy);
-  }
-  if (!view.ok() && level != pfs) {
-    CountTierFailure(view.status(), name, level);
-    level = pfs;
-    view = hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                                 allow_zero_copy);
-  }
-  if (!view.ok()) return view.status();
-
-  FinishRead(info, name, level, offset, view.value().size(),
-             offset == 0 ? view.value().data()
-                         : std::span<const std::byte>{});
-  pin_transferred = true;
-  return ReadLease(std::move(view).value(), std::move(info), level);
 }
 
 namespace {
@@ -591,7 +369,306 @@ const std::string& ChunkObjectNameTL(const std::string& file,
   return object;
 }
 
+/// Shard ownership (ISSUE 4): with a peer view installed, a node stages
+/// only the files it owns; it reads the rest from their owners.
+bool StagesHere(const PeerViewPtr& peer_view, const std::string& name) {
+  return peer_view == nullptr || peer_view->ShouldStageLocally(name);
+}
+
+/// The eviction pin a read holds on its file (ISSUE 6): an eviction that
+/// claims a pinned file reverts and picks another victim, so an
+/// in-flight read never loses its tier copy. A lease takes it over with
+/// release().
+struct Unpin {
+  void operator()(FileInfo* file) const noexcept {
+    file->read_pins.fetch_sub(1, std::memory_order_acq_rel);
+  }
+};
+using ReadPin = std::unique_ptr<FileInfo, Unpin>;
+
 }  // namespace
+
+/// The copying lane: every rung reads straight into the caller's buffer
+/// (never a lease plus a memcpy — the default engine ReadZeroCopy costs a
+/// metadata op and a heap allocation per read).
+class Monarch::CopySink {
+ public:
+  using Out = Result<std::size_t>;
+  static constexpr bool kLends = false;
+
+  explicit CopySink(std::span<std::byte> dst) : dst_(dst) {}
+  [[nodiscard]] std::uint64_t capacity() const { return dst_.size(); }
+  [[nodiscard]] std::span<const std::byte> data() const {
+    return dst_.first(n_);
+  }
+
+  Status Read(StorageDriver& tier, std::string_view object,
+              std::uint64_t offset) {
+    MONARCH_ASSIGN_OR_RETURN(n_, tier.Read(object, offset, dst_));
+    return Status::Ok();
+  }
+  /// Append `n` logical bytes of resident chunk `c` from `in_chunk`.
+  bool ServeChunk(Monarch& monarch, const FileInfoPtr& info,
+                  pack::ChunkMap& cm, std::uint32_t c, int level,
+                  std::uint64_t in_chunk, std::size_t n) {
+    if (!monarch.ServeResidentChunk(info, cm, c, level, in_chunk,
+                                    dst_.subspan(n_, n))) {
+      return false;
+    }
+    n_ += n;
+    return true;
+  }
+  void Adopt(const PeerFile& whole, std::uint64_t offset, std::size_t n) {
+    std::copy_n(whole->begin() + static_cast<std::ptrdiff_t>(offset), n,
+                dst_.begin());
+    n_ = n;
+  }
+  Out Finish(FileInfoPtr, int, ReadPin&) { return n_; }
+
+ private:
+  std::span<std::byte> dst_;
+  std::size_t n_ = 0;
+};
+
+/// The zero-copy lane: every rung lends a view (memory-backed tiers lend
+/// their page; others copy privately), and the read pin moves into the
+/// returned lease so the copy stays pinned while the caller holds it.
+class Monarch::LeaseSink {
+ public:
+  using Out = Result<ReadLease>;
+  static constexpr bool kLends = true;
+
+  LeaseSink(std::uint64_t max_bytes, bool allow_zero_copy)
+      : max_bytes_(max_bytes), allow_zero_copy_(allow_zero_copy) {}
+  [[nodiscard]] std::uint64_t capacity() const { return max_bytes_; }
+  [[nodiscard]] std::span<const std::byte> data() const {
+    return view_.data();
+  }
+
+  Status Read(StorageDriver& tier, std::string_view object,
+              std::uint64_t offset) {
+    MONARCH_ASSIGN_OR_RETURN(
+        view_, tier.ReadZeroCopy(object, offset, max_bytes_, allow_zero_copy_));
+    return Status::Ok();
+  }
+  /// Lend `n` logical bytes of resident chunk `c` from `in_chunk`.
+  bool ServeChunk(Monarch& monarch, const FileInfoPtr& info,
+                  pack::ChunkMap& cm, std::uint32_t c, int level,
+                  std::uint64_t in_chunk, std::size_t n) {
+    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+    if (monarch.placement_->pack_codec() != nullptr) {
+      // Compressed chunk: decode the whole chunk into a heap buffer the
+      // view keeps alive (zero_copy() reports false — decompression is
+      // inherently a copy).
+      auto logical = std::make_shared<std::vector<std::byte>>(logical_n);
+      if (!monarch.ServeResidentChunk(info, cm, c, level, 0, *logical)) {
+        return false;
+      }
+      Adopt(std::move(logical), in_chunk, n);
+      return true;
+    }
+    // Identity codec: lend the chunk object's bytes, checked as the copy
+    // lane checks them — a short view is corrupt, and a whole-chunk view
+    // is verified against the recorded CRC when verify_on_read is set.
+    auto view = monarch.hierarchy_->Level(level).ReadZeroCopy(
+        ChunkObjectNameTL(info->name, c), in_chunk, n, allow_zero_copy_);
+    if (!view.ok()) {
+      monarch.CountTierFailure(view.status(), info->name, level);
+      return false;
+    }
+    if (view.value().size() != n ||
+        (monarch.config_.resilience.verify_on_read && n == logical_n &&
+         Crc32c(view.value().data()) != cm.Meta(c).crc_logical)) {
+      monarch.DropCorruptChunk(info, cm, c, level);
+      return false;
+    }
+    view_ = std::move(view).value();
+    return true;
+  }
+  /// Lend [offset, offset + n) of a heap buffer the view keeps alive.
+  void Adopt(PeerFile whole, std::uint64_t offset, std::size_t n) {
+    const std::span<const std::byte> data(whole->data() + offset, n);
+    view_ = storage::ReadView(data, std::move(whole), /*zero_copy=*/false);
+  }
+  Out Finish(FileInfoPtr info, int level, ReadPin& pin) {
+    (void)pin.release();
+    return ReadLease(std::move(view_), std::move(info), level);
+  }
+
+ private:
+  std::uint64_t max_bytes_;
+  bool allow_zero_copy_;
+  storage::ReadView view_;
+};
+
+template <typename Sink>
+typename Sink::Out Monarch::InstrumentedRead(std::string_view name,
+                                             std::uint64_t offset,
+                                             Sink sink) {
+  // Instrumentation is lock-free: the counters/histogram below are
+  // relaxed atomics resolved at construction, and the span costs one
+  // atomic load while tracing is disabled.
+  const obs::TraceSpan span("monarch.read", "core");
+  if (read_requests_ != nullptr) read_requests_->Increment();
+  const Stopwatch timer;
+  auto result = ReadLadder(name, offset, sink);
+  if (result.ok()) {
+    if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
+  } else if (read_errors_ != nullptr) {
+    read_errors_->Increment();
+  }
+  return result;
+}
+
+template <typename Sink>
+typename Sink::Out Monarch::ReadLadder(std::string_view name,
+                                       std::uint64_t offset, Sink& sink) {
+  MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
+  info->read_pins.fetch_add(1, std::memory_order_acq_rel);
+  ReadPin pin(info.get());
+
+  // Pack mode (ISSUE 9) serves the file's chunk objects; whole-file mode
+  // the one object `name`.
+  pack::ChunkMap* cm =
+      placement_->options().pack.enabled
+          ? info->EnsureChunkMap(placement_->options().pack.chunk_bytes)
+          : nullptr;
+  const std::uint64_t length =
+      offset >= info->size
+          ? 0
+          : std::min<std::uint64_t>(sink.capacity(), info->size - offset);
+  const int pfs = hierarchy_->pfs_level();
+
+  // ① The local tier the namespace assigns — the whole copy, or every
+  // chunk the request overlaps (a view stops at the first chunk's end;
+  // short views are legal, ReadZeroCopy callers loop). A tier whose
+  // circuit breaker is open is skipped without a doomed attempt.
+  int level = cm != nullptr ? cm->tier()
+                            : info->level.load(std::memory_order_acquire);
+  std::uint64_t local = length;
+  if (Sink::kLends && cm != nullptr && length > 0) {
+    const std::uint32_t first = cm->ChunkOf(offset);
+    local = std::min<std::uint64_t>(
+        length, cm->ChunkOffset(first) + cm->ChunkLogicalBytes(first) - offset);
+  }
+  const bool resident =
+      level >= 0 && level != pfs &&
+      (cm == nullptr || (length > 0 && cm->RangeResident(offset, local)));
+  bool served = false;
+  if (resident && hierarchy_->NextServingLevel(level) != level) {
+    CountDegradedFallback(Fallback::kCircuitOpen, name, level);
+  } else if (resident) {
+    served = ServeLocal(info, cm, level, offset, local, sink);
+  }
+
+  // ② A peer's copy, closer over the interconnect than the shared PFS.
+  if (!served && TryPeerRung(*info, cm, offset, length, sink)) {
+    served = true;
+    level = hierarchy_->peer_level();
+  }
+
+  // ③ The authoritative copy: every rung of the degradation ladder lands
+  // here, so a sick tier or peer costs PFS performance, never an error.
+  if (!served) {
+    level = pfs;
+    MONARCH_RETURN_IF_ERROR(sink.Read(hierarchy_->Level(pfs), name, offset));
+  }
+
+  FinishRead(info, cm, name, level, offset, sink.data());
+  return sink.Finish(std::move(info), level, pin);
+}
+
+template <typename Sink>
+bool Monarch::ServeLocal(const FileInfoPtr& info, pack::ChunkMap* cm,
+                         int level, std::uint64_t offset,
+                         std::uint64_t length, Sink& sink) {
+  if (cm == nullptr) {
+    const Status read = sink.Read(hierarchy_->Level(level), info->name, offset);
+    if (!read.ok()) {
+      CountTierFailure(read, info->name, level);
+      return false;
+    }
+    if (VerifyTierRead(info, level, offset, sink.data(), sink.data().size())) {
+      return true;
+    }
+    // The staged copy is corrupt and has been quarantined.
+    CountDegradedFallback(Fallback::kCorruption, info->name, level);
+    return false;
+  }
+  // Chunk by chunk; a failed chunk is counted inside and the whole
+  // request goes on down the ladder.
+  for (std::uint64_t pos = offset, end = offset + length; pos < end;) {
+    const std::uint32_t c = cm->ChunkOf(pos);
+    const std::uint64_t in_chunk = pos - cm->ChunkOffset(c);
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        cm->ChunkLogicalBytes(c) - in_chunk, end - pos));
+    if (!sink.ServeChunk(*this, info, *cm, c, level, in_chunk, n)) {
+      return false;
+    }
+    pos += n;
+  }
+  return true;
+}
+
+template <typename Sink>
+bool Monarch::TryPeerRung(const FileInfo& info, const pack::ChunkMap* cm,
+                          std::uint64_t offset, std::uint64_t length,
+                          Sink& sink) {
+  const int peer = hierarchy_->peer_level();
+  if (peer < 0 || config_.peer_view == nullptr) return false;
+  // Peers serve a chunked file only whole, verified against the pack
+  // index's per-file CRC: a loose file has no such CRC, and a partial
+  // read of a multi-chunk file would drag the whole file across the
+  // fabric to serve a slice.
+  const pack::PackEntry* entry = nullptr;
+  if (cm != nullptr) {
+    if (pack_index_ == nullptr || length == 0 || cm->ChunkOf(offset) != 0 ||
+        cm->ChunkOf(offset + length - 1) + 1 != cm->num_chunks()) {
+      return false;
+    }
+    entry = pack_index_->Find(info.name);
+    if (entry == nullptr || entry->length != info.size) return false;
+  }
+  // `info.name` is the owned key — no temporary for the directory lookup.
+  if (!config_.peer_view->HasRemoteCopy(info.name)) return false;
+  StorageDriver& driver = hierarchy_->Level(peer);
+  if (!driver.health().AllowRequest()) {
+    CountDegradedFallback(Fallback::kCircuitOpen, info.name, peer);
+    return false;
+  }
+  Status status = Status::Ok();
+  if (entry == nullptr) {
+    status = sink.Read(driver, info.name, offset);
+  } else if (auto whole = FetchPeerFile(info, *cm, entry->crc32c, driver);
+             whole.ok()) {
+    sink.Adopt(std::move(whole).value(), offset,
+               static_cast<std::size_t>(length));
+  } else {
+    status = whole.status();
+  }
+  if (status.ok()) return true;
+  // Peer failures are counted apart so the cluster benches can reconcile
+  // interconnect rescue traffic: kNotFound is a holder that lost its
+  // copy, anything else (fabric, holder device, failed verification) an
+  // error. Either way the caller falls through to the PFS.
+  CountDegradedFallback(status.code() == StatusCode::kNotFound
+                            ? Fallback::kPeerMiss
+                            : Fallback::kPeerError,
+                        info.name, peer);
+  return false;
+}
+
+Result<std::size_t> Monarch::Read(std::string_view name, std::uint64_t offset,
+                                  std::span<std::byte> dst) {
+  return InstrumentedRead(name, offset, CopySink(dst));
+}
+
+Result<ReadLease> Monarch::ReadZeroCopy(std::string_view name,
+                                        std::uint64_t offset,
+                                        std::uint64_t max_bytes,
+                                        bool allow_zero_copy) {
+  return InstrumentedRead(name, offset, LeaseSink(max_bytes, allow_zero_copy));
+}
 
 bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
                                  std::uint32_t chunk, int level,
@@ -664,16 +741,7 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
   if (served) return true;
 
   if (corrupt) {
-    // Drop the bad copy so a later read re-stages it from the
-    // authoritative extent bytes — corruption degrades to PFS
-    // performance, never wrong bytes.
-    MLOG_WARN << "staged chunk '" << object << "' on tier '" << tier.name()
-              << "' failed verification; dropping it";
-    {
-      std::lock_guard lock(cm.placement_mutex());
-      (void)placement_->DropChunkLocked(*info, cm, chunk, tier);
-    }
-    CountDegradedFallback("corruption", info->name, level);
+    DropCorruptChunk(info, cm, chunk, level);
   } else {
     // kNotFound is an eviction race (the chunk vanished between the
     // residency check and the read): same accounting as the whole-file
@@ -683,24 +751,20 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
   return false;
 }
 
-Monarch::PeerFile Monarch::TryPeerChunked(const FileInfo& info,
-                                          const pack::ChunkMap& cm,
-                                          std::uint64_t offset,
-                                          std::uint64_t length) {
-  // Peers serve a chunked file only whole, verified against the pack
-  // index's per-file CRC: a loose file has no such CRC, and a partial
-  // read of a multi-chunk file would drag the whole file across the
-  // fabric to serve a slice.
-  if (pack_index_ == nullptr || length == 0 || cm.ChunkOf(offset) != 0 ||
-      cm.ChunkOf(offset + length - 1) + 1 != cm.num_chunks()) {
-    return nullptr;
+void Monarch::DropCorruptChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
+                               std::uint32_t chunk, int level) {
+  // Drop the bad copy so a later read re-stages it from the
+  // authoritative extent bytes — corruption degrades to PFS
+  // performance, never wrong bytes.
+  StorageDriver& tier = hierarchy_->Level(level);
+  MLOG_WARN << "staged chunk '" << ChunkObjectNameTL(info->name, chunk)
+            << "' on tier '" << tier.name()
+            << "' failed verification; dropping it";
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    (void)placement_->DropChunkLocked(*info, cm, chunk, tier);
   }
-  const pack::PackEntry* entry = pack_index_->Find(info.name);
-  if (entry == nullptr || entry->length != info.size) return nullptr;
-  auto fetched = TryPeerRung(info, [&](StorageDriver& peer) {
-    return FetchPeerFile(info, cm, entry->crc32c, peer);
-  });
-  return fetched.has_value() ? std::move(*fetched).value() : nullptr;
+  CountDegradedFallback(Fallback::kCorruption, info->name, level);
 }
 
 Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
@@ -740,205 +804,29 @@ Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
   return PeerFile(std::move(logical));
 }
 
-void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
-                                  std::uint64_t offset,
-                                  std::uint64_t length) {
-  if (length == 0 || placement_->stopped()) return;
-  // Shard ownership (ISSUE 4): chunk staging honours the same gate as
-  // whole-file staging.
-  if (config_.peer_view != nullptr &&
-      !config_.peer_view->ShouldStageLocally(info->name)) {
-    return;
-  }
-  // An offset-0 read (file open) re-arms a file whose last chunk staging
-  // was refused for space; later chunks of the same pass stay latched.
-  if (offset == 0) {
-    info->stage_refused.store(false, std::memory_order_release);
-  } else if (info->stage_refused.load(std::memory_order_acquire)) {
-    return;
-  }
-  const std::uint32_t first = cm.ChunkOf(offset);
-  const std::uint32_t last = cm.ChunkOf(offset + length - 1);
-  std::vector<std::uint32_t> claimed;
-  for (std::uint32_t c = first; c <= last; ++c) {
-    if (!cm.IsResident(c) && cm.TryClaim(c)) claimed.push_back(c);
-  }
-  if (claimed.empty()) return;
-  placement_->ScheduleChunkPlacement(info, std::move(claimed));
-}
-
-void Monarch::FinishChunkedMiss(const FileInfoPtr& info, pack::ChunkMap& cm,
-                                std::string_view name, int level,
-                                std::uint64_t offset,
-                                std::size_t bytes_read) {
-  if (bytes_read > 0) TriggerChunkStaging(info, cm, offset, bytes_read);
-  chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (chunk_misses_counter_ != nullptr) chunk_misses_counter_->Increment();
-  auto& counters = *served_[static_cast<std::size_t>(level)];
-  counters.reads.fetch_add(1, std::memory_order_relaxed);
-  counters.bytes.fetch_add(bytes_read, std::memory_order_relaxed);
-  if (offset == 0 && hints_active_.load(std::memory_order_acquire)) {
-    AdvancePrefetchCursor(name);
-  }
-}
-
-Result<std::size_t> Monarch::ReadChunkedImpl(const FileInfoPtr& info,
-                                             std::string_view name,
-                                             std::uint64_t offset,
-                                             std::span<std::byte> dst) {
+void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
+                         std::string_view name, int level,
+                         std::uint64_t offset,
+                         std::span<const std::byte> served) {
   const int pfs = hierarchy_->pfs_level();
-  const std::uint64_t length =
-      offset >= info->size
-          ? 0
-          : std::min<std::uint64_t>(dst.size(), info->size - offset);
-  pack::ChunkMap* cm =
-      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-
-  // Every overlapping chunk resident → serve the request chunk by chunk
-  // from the assigned tier; no PFS traffic at all.
-  if (length > 0 && cm->RangeResident(offset, length)) {
-    const int level = cm->tier();
-    if (level >= 0 && level != pfs &&
-        hierarchy_->NextServingLevel(level) == level) {
-      std::uint64_t pos = offset;
-      std::span<std::byte> out = dst.subspan(0, length);
-      bool served = true;
-      while (!out.empty()) {
-        const std::uint32_t c = cm->ChunkOf(pos);
-        const std::uint64_t in_chunk = pos - cm->ChunkOffset(c);
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cm->ChunkLogicalBytes(c) - in_chunk,
-                                    out.size()));
-        if (!ServeResidentChunk(info, *cm, c, level, in_chunk,
-                                out.subspan(0, n))) {
-          served = false;  // counted inside; re-read everything from PFS
-          break;
-        }
-        pos += n;
-        out = out.subspan(n);
-      }
-      if (served) {
-        chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (chunk_hits_counter_ != nullptr) chunk_hits_counter_->Increment();
-        FinishRead(info, name, level, offset,
-                   static_cast<std::size_t>(length), {});
-        return static_cast<std::size_t>(length);
-      }
-    }
-  }
-
-  // Miss (or partially resident, or the tier is sick). A packed file
-  // another node holds whole is fetched from it and verified; otherwise
-  // the request is served by the authoritative PFS copy — through the
-  // pack index when the dataset is packed. Either way the touched chunks
-  // are claimed for background staging (if this node owns the file), so
-  // PFS bytes scale with bytes *touched*.
-  if (const PeerFile whole = TryPeerChunked(*info, *cm, offset, length)) {
-    std::copy_n(whole->begin() + static_cast<std::ptrdiff_t>(offset), length,
-                dst.begin());
-    FinishChunkedMiss(info, *cm, name, hierarchy_->peer_level(), offset,
-                      static_cast<std::size_t>(length));
-    return static_cast<std::size_t>(length);
-  }
-  auto read = hierarchy_->Level(pfs).Read(name, offset, dst);
-  if (!read.ok()) return read;
-  FinishChunkedMiss(info, *cm, name, pfs, offset, read.value());
-  return read;
-}
-
-Result<ReadLease> Monarch::ReadZeroCopyChunkedImpl(
-    FileInfoPtr info, std::string_view name, std::uint64_t offset,
-    std::uint64_t max_bytes, bool allow_zero_copy, bool& pin_transferred) {
-  const int pfs = hierarchy_->pfs_level();
-  const std::uint64_t length =
-      offset >= info->size
-          ? 0
-          : std::min<std::uint64_t>(max_bytes, info->size - offset);
-  pack::ChunkMap* cm =
-      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-
-  if (length > 0) {
-    const std::uint32_t c = cm->ChunkOf(offset);
-    const int level = cm->tier();
-    if (cm->IsResident(c) && level >= 0 && level != pfs &&
-        hierarchy_->NextServingLevel(level) == level) {
-      // Serve within the first overlapping chunk, clipped to its end —
-      // short views are legal (ReadZeroCopy callers loop).
-      const std::uint64_t in_chunk = offset - cm->ChunkOffset(c);
-      const std::uint64_t avail = std::min<std::uint64_t>(
-          length, cm->ChunkLogicalBytes(c) - in_chunk);
-      if (placement_->pack_codec() == nullptr) {
-        auto view = hierarchy_->Level(level).ReadZeroCopy(
-            ChunkObjectNameTL(info->name, c), in_chunk, avail,
-            allow_zero_copy);
-        if (view.ok() && view.value().size() == avail) {
-          chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (chunk_hits_counter_ != nullptr) {
-            chunk_hits_counter_->Increment();
-          }
-          FinishRead(info, name, level, offset, view.value().size(), {});
-          pin_transferred = true;
-          return ReadLease(std::move(view).value(), std::move(info), level);
-        }
-        if (!view.ok()) CountTierFailure(view.status(), name, level);
-      } else {
-        // Compressed chunk: decode the whole chunk into a heap buffer
-        // the returned view keeps alive (zero_copy() reports false —
-        // decompression is inherently a copy).
-        auto logical = std::make_shared<std::vector<std::byte>>(
-            cm->ChunkLogicalBytes(c));
-        if (ServeResidentChunk(info, *cm, c, level, 0, *logical)) {
-          const std::span<const std::byte> data(
-              logical->data() + in_chunk, static_cast<std::size_t>(avail));
-          storage::ReadView view(data, std::move(logical),
-                                 /*zero_copy=*/false);
-          chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (chunk_hits_counter_ != nullptr) {
-            chunk_hits_counter_->Increment();
-          }
-          FinishRead(info, name, level, offset, data.size(), {});
-          pin_transferred = true;
-          return ReadLease(std::move(view), std::move(info), level);
-        }
-      }
-    }
-  }
-
-  // Miss: a packed file another node holds whole is fetched, verified
-  // and lent from a heap buffer; otherwise lend from the PFS (the pack
-  // layer serves packed names out of their extents). Claim whatever the
-  // view actually covered.
-  if (PeerFile whole = TryPeerChunked(*info, *cm, offset, length)) {
-    const int peer = hierarchy_->peer_level();
-    const std::span<const std::byte> data(whole->data() + offset,
-                                          static_cast<std::size_t>(length));
-    storage::ReadView view(data, std::move(whole), /*zero_copy=*/false);
-    FinishChunkedMiss(info, *cm, name, peer, offset, data.size());
-    pin_transferred = true;
-    return ReadLease(std::move(view), std::move(info), peer);
-  }
-  auto view = hierarchy_->Level(pfs).ReadZeroCopy(name, offset, max_bytes,
-                                                  allow_zero_copy);
-  if (!view.ok()) return view.status();
-  FinishChunkedMiss(info, *cm, name, pfs, offset, view.value().size());
-  pin_transferred = true;
-  return ReadLease(std::move(view).value(), std::move(info), pfs);
-}
-
-void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
-                         int level, std::uint64_t offset,
-                         std::size_t bytes_read,
-                         std::span<const std::byte> donated) {
-  const int pfs = hierarchy_->pfs_level();
-  const int peer = hierarchy_->peer_level();
+  const bool fetched = level == pfs || level == hierarchy_->peer_level();
 
   auto& counters = *served_[static_cast<std::size_t>(level)];
   counters.reads.fetch_add(1, std::memory_order_relaxed);
-  counters.bytes.fetch_add(bytes_read, std::memory_order_relaxed);
+  counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
 
-  if (level != pfs && info->prefetched.exchange(false)) {
-    // First demand read of a copy that a look-ahead hint staged: the
-    // prefetch paid off before demand ever touched the PFS.
+  if (cm != nullptr) {
+    (fetched ? chunk_misses_ : chunk_hits_)
+        .fetch_add(1, std::memory_order_relaxed);
+    obs::Counter* outcome =
+        fetched ? chunk_misses_counter_ : chunk_hits_counter_;
+    if (outcome != nullptr) outcome->Increment();
+  }
+  // First demand read of a copy that a look-ahead hint staged: the
+  // prefetch paid off before demand ever touched the PFS (a chunked file
+  // counts only when its local chunks served the read).
+  if (level != pfs && (cm == nullptr || !fetched) &&
+      info->prefetched.exchange(false)) {
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -948,7 +836,9 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
   // read covered it (old fast path), a prefix otherwise — so the staging
   // pipeline never re-reads them from the PFS. The §III-B partial-read
   // optimisation fetches the rest in the background (disabled => only
-  // full reads stage).
+  // full reads stage). Pack mode stages chunks, never whole files: the
+  // chunks the read touched are claimed, so PFS bytes scale with bytes
+  // *touched*.
   // Shard ownership (ISSUE 4): with a peer view installed, each node
   // stages only the files it owns — demand reads of peer-owned files go
   // owner-first / PFS-second and never trigger local staging. A read
@@ -957,23 +847,34 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
   // first owner's copy, and without this their replicas would never
   // materialise — the donated bytes mean the copy costs no extra PFS
   // traffic.
-  if ((level == pfs || level == peer) && !placement_->stopped() &&
-      (config_.peer_view == nullptr ||
-       config_.peer_view->ShouldStageLocally(info->name))) {
-    // An offset-0 read (file open) re-arms a file whose last demand
-    // staging was refused by the eviction policy; later chunks of the
-    // same pass leave the latch alone so one open retries at most once.
-    if (offset == 0) info->stage_refused.store(false, std::memory_order_release);
-    const bool full_read = offset == 0 && bytes_read == info->size;
-    if ((full_read ||
-         placement_->options().fetch_full_file_on_partial_read) &&
-        !info->stage_refused.load(std::memory_order_acquire)) {
+  const bool stage = fetched && (cm == nullptr || !served.empty()) &&
+                     !placement_->stopped() &&
+                     StagesHere(config_.peer_view, info->name);
+  // An offset-0 read (file open) re-arms a file whose last staging was
+  // refused (by the eviction policy, or for space); later reads of the
+  // same pass leave the latch alone so one open retries at most once.
+  if (stage && offset == 0) {
+    info->stage_refused.store(false, std::memory_order_release);
+  }
+  if (stage && !info->stage_refused.load(std::memory_order_acquire)) {
+    const bool full_read = offset == 0 && served.size() == info->size;
+    if (cm != nullptr) {
+      std::vector<std::uint32_t> claimed;
+      const std::uint32_t last = cm->ChunkOf(offset + served.size() - 1);
+      for (std::uint32_t c = cm->ChunkOf(offset); c <= last; ++c) {
+        if (!cm->IsResident(c) && cm->TryClaim(c)) claimed.push_back(c);
+      }
+      if (!claimed.empty()) {
+        placement_->ScheduleChunkPlacement(info, std::move(claimed));
+      }
+    } else if (full_read ||
+               placement_->options().fetch_full_file_on_partial_read) {
       if (info->TryBeginFetch()) {
         std::optional<std::vector<std::byte>> content;
-        if (offset == 0 && !donated.empty()) {
+        if (offset == 0 && !served.empty()) {
           // The copy happens ONLY when a staging task actually claims
           // the file — never on the per-read hot path.
-          content.emplace(donated.begin(), donated.end());
+          content.emplace(served.begin(), served.end());
         }
         placement_->SchedulePlacement(info, std::move(content));
       } else if (info->state.load(std::memory_order_acquire) ==
@@ -1011,28 +912,22 @@ bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
   return false;
 }
 
-void Monarch::CountDegradedFallback(const char* cause, std::string_view name,
+void Monarch::CountDegradedFallback(Fallback cause, std::string_view name,
                                     int level) {
+  static constexpr const char* kCauses[] = {
+      "circuit_open", "tier_error", "corruption", "peer_miss", "peer_error"};
+  const auto index = static_cast<std::size_t>(cause);
   if (read_degraded_fallbacks_ != nullptr) {
     read_degraded_fallbacks_->Increment();
   }
-  if (std::string_view(cause) == "circuit_open") {
-    fallbacks_circuit_open_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "corruption") {
-    fallbacks_corruption_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "peer_miss") {
-    fallbacks_peer_miss_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "peer_error") {
-    fallbacks_peer_error_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    fallbacks_tier_error_.fetch_add(1, std::memory_order_relaxed);
-  }
+  fallbacks_[index].fetch_add(1, std::memory_order_relaxed);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant(
         "monarch.read.fallback", "resilience",
-        "\"file\":" + obs::JsonQuote(name) + ",\"cause\":\"" + cause +
-            "\",\"tier\":" + obs::JsonQuote(hierarchy_->Level(level).name()));
+        "\"file\":" + obs::JsonQuote(name) + ",\"cause\":\"" +
+            kCauses[index] + "\",\"tier\":" +
+            obs::JsonQuote(hierarchy_->Level(level).name()));
   }
 }
 
@@ -1091,12 +986,9 @@ void Monarch::AdvancePrefetchCursor(std::string_view name) {
 
 void Monarch::TopUpPrefetch() {
   if (placement_->stopped()) return;
-  const bool pack = placement_->options().pack.enabled;
-  // Claim under the lock (so the window accounting stays consistent),
-  // enqueue outside it (SchedulePlacement takes the handler's own lock).
-  std::vector<FileInfoPtr> claimed;
-  std::vector<std::pair<FileInfoPtr, std::vector<std::uint32_t>>>
-      chunk_claimed;
+  // Take the window under the lock (so its accounting stays consistent);
+  // claim and enqueue outside it (placement takes the handler's own lock).
+  std::vector<FileInfoPtr> window;
   {
     std::lock_guard lock(hint_mu_);
     const auto lookahead =
@@ -1104,40 +996,39 @@ void Monarch::TopUpPrefetch() {
     const std::size_t limit =
         std::min(hinted_order_.size(), hint_cursor_ + lookahead);
     for (; hint_scheduled_ < limit; ++hint_scheduled_) {
-      const FileInfoPtr& info = hinted_order_[hint_scheduled_];
-      // Hints for peer-owned files are skipped, not claimed: the owner
-      // stages them and this node reads them over the interconnect.
-      if (config_.peer_view != nullptr &&
-          !config_.peer_view->ShouldStageLocally(info->name)) {
-        continue;
-      }
-      if (pack) {
-        // Chunked files are prefetched whole, but chunk by chunk: claim
-        // every non-resident chunk instead of the file-level fetch flag.
-        pack::ChunkMap* cm =
-            info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-        std::vector<std::uint32_t> chunks;
-        for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-          if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-        }
-        if (!chunks.empty()) {
-          info->prefetched.store(true, std::memory_order_release);
-          chunk_claimed.emplace_back(info, std::move(chunks));
-        }
-      } else if (info->TryBeginFetch()) {
-        info->prefetched.store(true, std::memory_order_release);
-        claimed.push_back(info);
-      }
+      window.push_back(hinted_order_[hint_scheduled_]);
     }
   }
-  for (FileInfoPtr& info : claimed) {
-    placement_->SchedulePlacement(std::move(info), std::nullopt,
-                                  StagingLane::kPrefetch);
+  for (FileInfoPtr& info : window) {
+    // Hints for peer-owned files are skipped, not claimed: the owner
+    // stages them and this node reads them over the interconnect.
+    if (!StagesHere(config_.peer_view, info->name)) continue;
+    ScheduleWholeFile(std::move(info), StagingLane::kPrefetch,
+                      /*prefetch=*/true);
   }
-  for (auto& [info, chunks] : chunk_claimed) {
+}
+
+bool Monarch::ScheduleWholeFile(FileInfoPtr info, StagingLane lane,
+                                bool prefetch) {
+  if (placement_->options().pack.enabled) {
+    // Chunked files are staged whole, but chunk by chunk: claim every
+    // non-resident chunk instead of the file-level fetch flag.
+    pack::ChunkMap* cm =
+        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+    std::vector<std::uint32_t> chunks;
+    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
+    }
+    if (chunks.empty()) return false;
+    if (prefetch) info->prefetched.store(true, std::memory_order_release);
     placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       StagingLane::kPrefetch);
+                                       lane);
+    return true;
   }
+  if (!info->TryBeginFetch()) return false;
+  if (prefetch) info->prefetched.store(true, std::memory_order_release);
+  placement_->SchedulePlacement(std::move(info), std::nullopt, lane);
+  return true;
 }
 
 Result<std::uint64_t> Monarch::FileSize(std::string_view name) {
@@ -1150,27 +1041,11 @@ std::uint64_t Monarch::Prestage(bool block) {
   for (const auto& entry : metadata_.Snapshot()) {
     // Shard ownership (ISSUE 4): prestage only this node's shard; the
     // rest of the dataset reaches it through the peer tier.
-    if (config_.peer_view != nullptr &&
-        !config_.peer_view->ShouldStageLocally(entry.name)) {
-      continue;
-    }
+    if (!StagesHere(config_.peer_view, entry.name)) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info) continue;
-    if (placement_->options().pack.enabled) {
-      pack::ChunkMap* cm =
-          info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-      std::vector<std::uint32_t> chunks;
-      for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-        if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-      }
-      if (chunks.empty()) continue;
-      placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks));
+    if (info && ScheduleWholeFile(std::move(info), StagingLane::kDemand)) {
       ++scheduled;
-      continue;
     }
-    if (!info->TryBeginFetch()) continue;
-    placement_->SchedulePlacement(std::move(info), std::nullopt);
-    ++scheduled;
   }
   if (block) placement_->Drain();
   return scheduled;
@@ -1180,33 +1055,17 @@ Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
   if (placement_->stopped()) return std::uint64_t{0};
   // Ownership may have shifted again since the repair task was queued —
   // re-check the gate at drain time, not enqueue time.
-  if (config_.peer_view != nullptr &&
-      !config_.peer_view->ShouldStageLocally(name)) {
-    return std::uint64_t{0};
-  }
+  if (!StagesHere(config_.peer_view, name)) return std::uint64_t{0};
   FileInfoPtr info = metadata_.Lookup(name);
   if (!info) {
     return NotFoundError("restage of unindexed file '" + name + "'");
   }
   const std::uint64_t size = info->size;
-  if (placement_->options().pack.enabled) {
-    pack::ChunkMap* cm =
-        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-    std::vector<std::uint32_t> chunks;
-    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-    }
-    if (chunks.empty()) return std::uint64_t{0};
-    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       StagingLane::kPrefetch);
-    return size;
-  }
-  if (!info->TryBeginFetch()) return std::uint64_t{0};
   // Repair rides the PREFETCH lane: the two-lane pipeline guarantees it
   // parks behind demand staging and respects the in-flight byte caps.
-  placement_->SchedulePlacement(std::move(info), std::nullopt,
-                                StagingLane::kPrefetch);
-  return size;
+  return ScheduleWholeFile(std::move(info), StagingLane::kPrefetch)
+             ? size
+             : std::uint64_t{0};
 }
 
 std::uint64_t Monarch::ReadvertisePlacedCopies() {
@@ -1315,16 +1174,15 @@ MonarchStats Monarch::Stats() const {
   }
   stats.placement = placement_->Stats();
   stats.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  stats.fallbacks_circuit_open =
-      fallbacks_circuit_open_.load(std::memory_order_relaxed);
-  stats.fallbacks_tier_error =
-      fallbacks_tier_error_.load(std::memory_order_relaxed);
-  stats.fallbacks_corruption =
-      fallbacks_corruption_.load(std::memory_order_relaxed);
-  stats.fallbacks_peer_miss =
-      fallbacks_peer_miss_.load(std::memory_order_relaxed);
-  stats.fallbacks_peer_error =
-      fallbacks_peer_error_.load(std::memory_order_relaxed);
+  const auto fallbacks = [this](Fallback cause) {
+    return fallbacks_[static_cast<std::size_t>(cause)].load(
+        std::memory_order_relaxed);
+  };
+  stats.fallbacks_circuit_open = fallbacks(Fallback::kCircuitOpen);
+  stats.fallbacks_tier_error = fallbacks(Fallback::kTierError);
+  stats.fallbacks_corruption = fallbacks(Fallback::kCorruption);
+  stats.fallbacks_peer_miss = fallbacks(Fallback::kPeerMiss);
+  stats.fallbacks_peer_error = fallbacks(Fallback::kPeerError);
   stats.degraded_fallbacks =
       stats.fallbacks_circuit_open + stats.fallbacks_tier_error +
       stats.fallbacks_corruption + stats.fallbacks_peer_miss +

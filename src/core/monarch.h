@@ -18,6 +18,7 @@
 // with room. Shutdown() (or the destructor) drains in-flight staging.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -26,7 +27,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -124,7 +124,7 @@ struct MonarchStats {
   std::uint64_t prefetch_hits = 0;
 
   /// Degradation-ladder outcomes (ISSUE 2): reads that a cache tier
-  /// failed to serve but the PFS rescued, broken down by cause.
+  /// failed to serve but a lower rung (peer or PFS) rescued, by cause.
   std::uint64_t degraded_fallbacks = 0;       ///< sum of the five below
   std::uint64_t fallbacks_circuit_open = 0;   ///< tier skipped, breaker open
   std::uint64_t fallbacks_tier_error = 0;     ///< tier read failed after retries
@@ -281,38 +281,73 @@ class Monarch {
   explicit Monarch(MonarchConfig config,
                    std::unique_ptr<StorageHierarchy> hierarchy);
 
-  /// Read() minus instrumentation (Read wraps this with the span, the
-  /// request/error counters, and the latency histogram).
-  Result<std::size_t> ReadImpl(std::string_view name, std::uint64_t offset,
-                               std::span<std::byte> dst);
+  /// The two lanes' output sinks (defined in monarch.cc). CopySink fills
+  /// Read()'s buffer and drops the read pin on return; LeaseSink lends a
+  /// view and moves the pin into ReadZeroCopy()'s lease.
+  class CopySink;
+  class LeaseSink;
 
-  /// ReadZeroCopy() minus instrumentation.
-  Result<ReadLease> ReadZeroCopyImpl(std::string_view name,
-                                     std::uint64_t offset,
-                                     std::uint64_t max_bytes,
-                                     bool allow_zero_copy);
+  /// The instrumented entry of both lanes: the `monarch.read` span, the
+  /// request/error counters and the latency histogram around ReadLadder.
+  template <typename Sink>
+  typename Sink::Out InstrumentedRead(std::string_view name,
+                                      std::uint64_t offset, Sink sink);
 
-  /// Shared head of both read paths: look up (or lazily register) the
-  /// file, stamp the access clock, and note the policy access.
+  /// The one read path (§III-B), for both lanes and both modes: pin the
+  /// file, then serve the request into `sink` from the first rung that
+  /// can — the local tier holding it, a peer's copy, the PFS — and finish
+  /// with the serve counters and the staging trigger.
+  template <typename Sink>
+  typename Sink::Out ReadLadder(std::string_view name, std::uint64_t offset,
+                                Sink& sink);
+
+  /// The local-tier rung at `level`: the one object `name` in whole-file
+  /// mode (CRC-checked by VerifyTierRead), or the resident chunks of
+  /// [offset, offset + length) in pack mode (`cm` non-null). Counts the
+  /// fallback cause and returns false when the ladder must go on.
+  template <typename Sink>
+  bool ServeLocal(const FileInfoPtr& info, pack::ChunkMap* cm, int level,
+                  std::uint64_t offset, std::uint64_t length, Sink& sink);
+
+  /// The peer rung: when another node advertises a copy of `info` and
+  /// the peer breaker admits requests, serve [offset, offset + length)
+  /// from it into `sink`. In pack mode only packed files read whole (a
+  /// whole-file read, or any read of a single-chunk file) qualify, fetched
+  /// and verified by FetchPeerFile. Returns false — after counting an
+  /// open breaker as "circuit_open" and a failed fetch as "peer_miss"
+  /// (kNotFound) or "peer_error" — and the caller continues to the PFS.
+  template <typename Sink>
+  bool TryPeerRung(const FileInfo& info, const pack::ChunkMap* cm,
+                   std::uint64_t offset, std::uint64_t length, Sink& sink);
+
+  /// Head of the read path: look up (or lazily register) the file, stamp
+  /// the access clock, and note the policy access.
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
-  /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, staging trigger, prefetch-cursor advance. `donated`
-  /// holds the leading bytes of an offset-0 read when available.
-  void FinishRead(const FileInfoPtr& info, std::string_view name, int level,
-                  std::uint64_t offset, std::size_t bytes_read,
-                  std::span<const std::byte> donated);
+  /// Tail of the read path, given the bytes `served` from `level`: serve
+  /// counters and prefetch-hit bookkeeping, then staging by mode — whole-
+  /// file mode stages a file the peer or the PFS served (an offset-0
+  /// read donates its bytes), pack mode (`cm` non-null) counts a chunk
+  /// hit or miss and claims the touched chunks — and the prefetch-cursor
+  /// advance.
+  void FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
+                  std::string_view name, int level, std::uint64_t offset,
+                  std::span<const std::byte> served);
 
   /// Full-file tier reads against a recorded CRC when verify_on_read is
   /// set. Returns false when the copy is corrupt (and quarantines it).
   bool VerifyTierRead(const FileInfoPtr& info, int level, std::uint64_t offset,
                       std::span<const std::byte> data, std::size_t n);
 
+  /// Why a rung of the degradation ladder could not serve a read (the
+  /// `cause` of the `monarch.read.fallback` trace event).
+  enum class Fallback {
+    kCircuitOpen, kTierError, kCorruption, kPeerMiss, kPeerError, kCount
+  };
+
   /// Count one rung of the degradation ladder: a read the tier at `level`
-  /// could not serve and the PFS absorbed. `cause` is one of
-  /// "circuit_open" | "tier_error" | "corruption" | "peer_miss" |
-  /// "peer_error".
-  void CountDegradedFallback(const char* cause, std::string_view name,
+  /// could not serve and a lower rung absorbed.
+  void CountDegradedFallback(Fallback cause, std::string_view name,
                              int level);
 
   /// A local cache-tier read failed with `status`: kNotFound is an
@@ -321,26 +356,8 @@ class Monarch {
   void CountTierFailure(const Status& status, std::string_view name,
                         int level);
 
-  /// The peer rung every read ladder shares: when another node
-  /// advertises a copy of `info` and the peer breaker admits requests,
-  /// run `fetch(peer_driver)` and return its (successful) result.
-  /// Otherwise return nullopt — after counting an open breaker as
-  /// "circuit_open" and a failed fetch as "peer_miss" (kNotFound) or
-  /// "peer_error" — and the caller continues to the PFS.
-  template <typename Fetch>
-  auto TryPeerRung(const FileInfo& info, Fetch&& fetch)
-      -> std::optional<std::invoke_result_t<Fetch&, StorageDriver&>>;
-
   /// A packed file fetched whole from a peer and verified.
   using PeerFile = std::shared_ptr<const std::vector<std::byte>>;
-
-  /// The peer rung of the chunked ladders: the whole logical file when a
-  /// peer serves it, else nullptr (the caller reads the PFS). Only
-  /// packed files qualify (a loose file has no pack index CRC to verify
-  /// against), and only requests spanning every chunk of the file (a
-  /// whole-file read, or any read of a single-chunk file).
-  PeerFile TryPeerChunked(const FileInfo& info, const pack::ChunkMap& cm,
-                          std::uint64_t offset, std::uint64_t length);
 
   /// Read every chunk object of `info` from a peer holder, decode them
   /// and check the whole logical file against the pack index CRC `crc`.
@@ -349,32 +366,6 @@ class Monarch {
   Result<PeerFile> FetchPeerFile(const FileInfo& info,
                                  const pack::ChunkMap& cm, std::uint32_t crc,
                                  StorageDriver& peer);
-
-  /// Pack mode (ISSUE 9): serve [offset, offset + dst.size()) of a
-  /// chunked file. When every overlapping chunk is resident, the request
-  /// is served chunk by chunk from the assigned tier (decoding through
-  /// the staging codec); otherwise the whole request reads from a peer's
-  /// complete copy (TryPeerChunked) or the authoritative PFS — so PFS
-  /// traffic scales with bytes *touched* — and the touched chunks are
-  /// claimed for demand staging.
-  Result<std::size_t> ReadChunkedImpl(const FileInfoPtr& info,
-                                      std::string_view name,
-                                      std::uint64_t offset,
-                                      std::span<std::byte> dst);
-
-  /// Pack mode, zero-copy lane. A resident first chunk serves a view
-  /// clipped to the chunk boundary (short views are legal — callers
-  /// loop); the compressed codec decodes into a heap buffer the view
-  /// keeps alive (zero_copy() reports false). Anything else is lent from
-  /// a peer's verified copy (TryPeerChunked) or the PFS. Sets
-  /// `pin_transferred` when the returned lease took over the caller's
-  /// read pin.
-  Result<ReadLease> ReadZeroCopyChunkedImpl(FileInfoPtr info,
-                                            std::string_view name,
-                                            std::uint64_t offset,
-                                            std::uint64_t max_bytes,
-                                            bool allow_zero_copy,
-                                            bool& pin_transferred);
 
   /// Serve one resident chunk slice (`dst` = logical bytes at
   /// `offset_in_chunk`) from the tier at `level`, decoding when the
@@ -387,18 +378,10 @@ class Monarch {
                           std::uint64_t offset_in_chunk,
                           std::span<std::byte> dst);
 
-  /// Claim the non-resident chunks overlapping [offset, offset+length)
-  /// and enqueue one demand-lane chunk staging task for them.
-  void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
-                           std::uint64_t offset, std::uint64_t length);
-
-  /// Shared tail of the pack-mode miss paths (served by the peer or the
-  /// PFS `level`): chunk staging of the touched range, serve counters
-  /// and the prefetch-cursor advance — never FinishRead's whole-file
-  /// staging (pack mode stages chunks, never files).
-  void FinishChunkedMiss(const FileInfoPtr& info, pack::ChunkMap& cm,
-                         std::string_view name, int level,
-                         std::uint64_t offset, std::size_t bytes_read);
+  /// Drop resident chunk `chunk` on `level`, whose copy failed
+  /// verification (so staging can retry it), and count the corruption.
+  void DropCorruptChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
+                        std::uint32_t chunk, int level);
 
   /// A demand read of `name` landed: advance the prefetch cursor past it
   /// and top up the look-ahead window with new PREFETCH-lane claims.
@@ -407,6 +390,13 @@ class Monarch {
   /// PFS-only and enqueue them on the prefetch lane. Caller must NOT hold
   /// hint_mu_.
   void TopUpPrefetch();
+
+  /// Claim `info` whole for staging on `lane` — every non-resident chunk
+  /// in pack mode, the file-level fetch flag otherwise — and enqueue it,
+  /// marked `prefetched` when a look-ahead hint asked. False when there
+  /// was nothing to claim (resident, or another stager holds it).
+  bool ScheduleWholeFile(FileInfoPtr info, StagingLane lane,
+                         bool prefetch = false);
 
   MonarchConfig config_;
   std::unique_ptr<StorageHierarchy> hierarchy_;
@@ -456,12 +446,11 @@ class Monarch {
   std::atomic<std::uint64_t> chunk_hits_{0};
   std::atomic<std::uint64_t> chunk_misses_{0};
 
-  // Per-cause fallback tallies behind `monarch.read.degraded_fallbacks`.
-  std::atomic<std::uint64_t> fallbacks_circuit_open_{0};
-  std::atomic<std::uint64_t> fallbacks_tier_error_{0};
-  std::atomic<std::uint64_t> fallbacks_corruption_{0};
-  std::atomic<std::uint64_t> fallbacks_peer_miss_{0};
-  std::atomic<std::uint64_t> fallbacks_peer_error_{0};
+  // Per-cause fallback tallies behind `monarch.read.degraded_fallbacks`,
+  // indexed by Fallback.
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(Fallback::kCount)>
+      fallbacks_{};
 
   // The async submission/completion ring (declared after everything its
   // workers touch; destroyed — joining the workers — before any of it).

@@ -52,12 +52,13 @@ struct PeerWorld {
   std::unique_ptr<PeerGroup> group;
   std::vector<Node> nodes;
 
-  explicit PeerWorld(int num_nodes) {
+  explicit PeerWorld(int num_nodes, PeerOptions options = {},
+                     core::ResilienceOptions resilience = {}) {
     pfs = std::make_shared<MemoryEngine>("pfs");
     for (int i = 0; i < kFiles; ++i) {
       EXPECT_TRUE(pfs->Write(File(i), GoldenPayload(i)).ok());
     }
-    group = std::make_unique<PeerGroup>(num_nodes);
+    group = std::make_unique<PeerGroup>(num_nodes, std::move(options));
     nodes.resize(static_cast<std::size_t>(num_nodes));
     for (int n = 0; n < num_nodes; ++n) {
       Node& node = nodes[static_cast<std::size_t>(n)];
@@ -75,6 +76,7 @@ struct PeerWorld {
       config.peer_view = group->MakePeerView(n);
       config.pfs = core::TierSpec{"pfs", pfs, 0};
       config.dataset_dir = "data";
+      config.resilience = resilience;
       auto monarch = core::Monarch::Create(std::move(config));
       EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
       if (monarch.ok()) node.monarch = std::move(monarch).value();
@@ -243,6 +245,37 @@ TEST(PeerCacheTest, VanishedPeerCopyFallsBackAsMiss) {
   EXPECT_EQ(1u, stats.fallbacks_peer_miss);
   EXPECT_EQ(0u, stats.fallbacks_peer_error);
   EXPECT_EQ(1u, stats.degraded_fallbacks);
+}
+
+// A corrupt local copy does not send the read to the PFS while another
+// node advertises the file: the ladder's next rung is the peer.
+TEST(PeerCacheTest, CorruptLocalCopyIsServedByPeer) {
+  PeerOptions options;
+  options.replication = 2;  // both nodes own, and stage, every file
+  core::ResilienceOptions resilience;
+  resilience.verify_on_read = true;
+  PeerWorld world(2, options, resilience);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  auto& reader = *world.nodes[1].monarch;
+  ASSERT_EQ(static_cast<std::uint64_t>(kFiles),
+            reader.Stats().placement.completed);
+
+  const int peer = reader.hierarchy().peer_level();
+  const int pfs = reader.hierarchy().pfs_level();
+  ASSERT_GE(peer, 0);
+  const auto before = reader.Stats();
+  world.nodes[1].local->CorruptNextReads(1);
+  std::vector<std::byte> buf(kFileBytes);
+  ASSERT_OK(reader.Read(File(0), 0, buf));
+  EXPECT_EQ(GoldenPayload(0), std::vector<std::byte>(buf.begin(), buf.end()));
+
+  const auto after = reader.Stats();
+  EXPECT_EQ(1u, world.nodes[1].local->injected_corruptions());
+  EXPECT_EQ(1u, after.fallbacks_corruption);
+  EXPECT_EQ(1u, after.degraded_fallbacks);
+  EXPECT_EQ(before.levels[peer].reads + 1, after.levels[peer].reads);
+  EXPECT_EQ(before.levels[pfs].reads, after.levels[pfs].reads);
 }
 
 // Peer sharing is cooperative, not load-bearing: a cluster of one gets a

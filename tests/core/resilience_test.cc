@@ -16,6 +16,7 @@
 #include "core/storage_driver.h"
 #include "dlsim/monarch_opener.h"
 #include "dlsim/trainer.h"
+#include "pack/chunk_map.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 #include "util/clock.h"
@@ -39,7 +40,8 @@ std::vector<std::byte> GoldenPayload(int index) {
 }
 
 /// A two-tier hierarchy ("local" over "pfs") where both engines inject
-/// faults; the inner PFS engine holds `num_files` golden payloads.
+/// faults; the inner PFS engine holds `num_files` golden payloads. `pack`
+/// switches on pack mode (chunk staging over the loose files).
 struct FaultyWorld {
   std::shared_ptr<FaultyEngine> local;
   std::shared_ptr<FaultyEngine> pfs;
@@ -49,7 +51,8 @@ struct FaultyWorld {
 
 FaultyWorld BuildWorld(int num_files, FaultyEngine::FaultSpec local_spec,
                        FaultyEngine::FaultSpec pfs_spec,
-                       ResilienceOptions resilience = {}) {
+                       ResilienceOptions resilience = {},
+                       pack::PackOptions pack = {}) {
   FaultyWorld world;
   auto pfs_inner = std::make_shared<MemoryEngine>("pfs");
   for (int i = 0; i < num_files; ++i) {
@@ -68,6 +71,7 @@ FaultyWorld BuildWorld(int num_files, FaultyEngine::FaultSpec local_spec,
   config.pfs = TierSpec{"pfs", world.pfs, 0};
   config.dataset_dir = "data";
   config.resilience = resilience;
+  config.placement.pack = std::move(pack);
   auto monarch = Monarch::Create(std::move(config));
   EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
   if (monarch.ok()) {
@@ -368,6 +372,183 @@ TEST(ResilienceTest, DlsimTrainingCompletesUnderFaults) {
   EXPECT_GT(injected, 0u);
   EXPECT_GT(driver_retries + stats.degraded_fallbacks, 0u);
 }
+
+// ---------------------------------------------------------------------
+// One ladder, four instantiations: the copy (Read) and lease
+// (ReadZeroCopy) lanes, each in whole-file and pack mode. Every ladder
+// fault must give the caller the same bytes and cost the same per-cause
+// fallback count in all four.
+
+struct LadderCase {
+  bool zero_copy;  ///< ReadZeroCopy lane (else Read)
+  bool pack;       ///< pack mode, 1 KiB chunks (else whole-file)
+};
+
+class ReadLadderTest : public ::testing::TestWithParam<LadderCase> {
+ protected:
+  FaultyWorld Build(int num_files, ResilienceOptions resilience = {},
+                    const std::string& codec = "none") {
+    pack::PackOptions pack;
+    pack.enabled = GetParam().pack;
+    pack.chunk_bytes = 1024;
+    pack.codec = codec;
+    return BuildWorld(num_files, {}, {}, resilience, std::move(pack));
+  }
+
+  /// Read `name` whole through the lane under test (a lease lane loops:
+  /// a pack-mode view stops at a chunk boundary).
+  static std::vector<std::byte> ReadWhole(Monarch& monarch,
+                                          const std::string& name) {
+    std::vector<std::byte> out;
+    if (!GetParam().zero_copy) {
+      out.resize(kFileBytes);
+      auto read = monarch.Read(name, 0, out);
+      EXPECT_OK(read);
+      out.resize(read.ok() ? read.value() : 0);
+      return out;
+    }
+    while (out.size() < kFileBytes) {
+      auto lease = monarch.ReadZeroCopy(name, out.size());
+      EXPECT_OK(lease);
+      if (!lease.ok() || lease.value().empty()) break;
+      out.insert(out.end(), lease.value().data().begin(),
+                 lease.value().data().end());
+    }
+    return out;
+  }
+
+  /// Stage every file of `world` through the lane under test, then check
+  /// that the local tier serves each one.
+  static void StageAll(FaultyWorld& world) {
+    for (const auto& name : world.names) ReadWhole(*world.monarch, name);
+    world.monarch->DrainPlacements();
+    for (const auto& name : world.names) {
+      const std::uint64_t local_reads = LocalReads(world);
+      ReadWhole(*world.monarch, name);
+      EXPECT_GT(LocalReads(world), local_reads) << name << " is not staged";
+    }
+  }
+
+  /// Local-tier reads so far (a staged copy serving).
+  static std::uint64_t LocalReads(const FaultyWorld& world) {
+    return world.monarch->Stats().levels[0].reads;
+  }
+};
+
+TEST_P(ReadLadderTest, TierErrorFallsBackToPfs) {
+  auto world = Build(2);
+  ASSERT_TRUE(world.monarch != nullptr);
+  StageAll(world);
+
+  world.local->FailNextReads(100);  // > retry attempts
+  EXPECT_EQ(GoldenPayload(GoldenIndex(world.names[0])),
+            ReadWhole(*world.monarch, world.names[0]));
+
+  const auto stats = world.monarch->Stats();
+  EXPECT_EQ(1u, stats.fallbacks_tier_error);
+  EXPECT_EQ(1u, stats.degraded_fallbacks);
+  EXPECT_GE(stats.levels[0].retries, 1u);
+}
+
+TEST_P(ReadLadderTest, CorruptReadIsCaughtAndRestaged) {
+  ResilienceOptions resilience;
+  resilience.verify_on_read = true;
+  auto world = Build(1, resilience);
+  ASSERT_TRUE(world.monarch != nullptr);
+  StageAll(world);
+
+  // One silently corrupted tier read: the caller still receives the
+  // authoritative bytes (via the PFS) and the bad copy is dropped.
+  world.local->CorruptNextReads(1);
+  EXPECT_EQ(GoldenPayload(0), ReadWhole(*world.monarch, world.names[0]));
+  auto stats = world.monarch->Stats();
+  EXPECT_EQ(1u, world.local->injected_corruptions());
+  EXPECT_EQ(1u, stats.fallbacks_corruption);
+  EXPECT_EQ(1u, stats.degraded_fallbacks);
+  if (!GetParam().pack) EXPECT_EQ(1u, stats.placement.quarantined);
+
+  // The fallback read re-staged the copy, which serves again.
+  world.monarch->DrainPlacements();
+  const std::uint64_t local_reads = LocalReads(world);
+  EXPECT_EQ(GoldenPayload(0), ReadWhole(*world.monarch, world.names[0]));
+  EXPECT_GT(LocalReads(world), local_reads);
+  EXPECT_EQ(1u, world.monarch->Stats().degraded_fallbacks);
+}
+
+TEST_P(ReadLadderTest, OverwrittenStagedCopyDegradesToPfs) {
+  ResilienceOptions resilience;
+  resilience.verify_on_read = true;
+  auto world = Build(1, resilience, "lz");
+  ASSERT_TRUE(world.monarch != nullptr);
+  StageAll(world);
+
+  // Flip the staged object's bytes behind the driver's back.
+  const std::string object = GetParam().pack
+                                 ? pack::ChunkObjectName(world.names[0], 0)
+                                 : world.names[0];
+  auto stored = world.local->FileSize(object);
+  ASSERT_OK(stored);
+  ASSERT_OK(world.local->Write(
+      object, std::vector<std::byte>(stored.value(), std::byte{0x5C})));
+
+  EXPECT_EQ(GoldenPayload(0), ReadWhole(*world.monarch, world.names[0]));
+  EXPECT_EQ(1u, world.monarch->Stats().fallbacks_corruption);
+  EXPECT_EQ(1u, world.monarch->Stats().degraded_fallbacks);
+  // The bad copy was dropped; a later pass re-stages and serves it again.
+  world.monarch->DrainPlacements();
+  const std::uint64_t local_reads = LocalReads(world);
+  EXPECT_EQ(GoldenPayload(0), ReadWhole(*world.monarch, world.names[0]));
+  EXPECT_GT(LocalReads(world), local_reads);
+}
+
+TEST_P(ReadLadderTest, OpenCircuitSkipsTierAndRecovers) {
+  ResilienceOptions resilience;
+  resilience.health.window = 32;
+  resilience.health.min_samples = 8;
+  resilience.health.cooldown = Millis(10);
+  resilience.health.half_open_successes = 1;
+  auto world = Build(16, resilience);
+  ASSERT_TRUE(world.monarch != nullptr);
+  StageAll(world);
+
+  // Outage: every read still returns golden bytes, each degraded exactly
+  // once — a tier error until the breaker opens, a skipped tier after.
+  world.local->FailUntilHealed();
+  const std::uint64_t pfs_reads = world.monarch->Stats().pfs_reads();
+  for (const auto& name : world.names) {
+    EXPECT_EQ(GoldenPayload(GoldenIndex(name)),
+              ReadWhole(*world.monarch, name));
+  }
+  auto stats = world.monarch->Stats();
+  EXPECT_EQ(CircuitState::kOpen, stats.levels[0].circuit_state);
+  EXPECT_GE(stats.levels[0].circuit_opens, 1u);
+  EXPECT_GT(stats.fallbacks_circuit_open, 0u);
+  EXPECT_EQ(16u, stats.fallbacks_tier_error + stats.fallbacks_circuit_open);
+  EXPECT_EQ(16u, stats.degraded_fallbacks);
+  EXPECT_EQ(pfs_reads + 16, stats.pfs_reads());
+
+  // Heal, wait out the cooldown: the copies are still staged, so the
+  // probe reads succeed and the tier serves again.
+  world.local->Heal();
+  PreciseSleep(Millis(15));
+  const std::uint64_t local_reads = stats.levels[0].reads;
+  for (const auto& name : world.names) {
+    EXPECT_EQ(GoldenPayload(GoldenIndex(name)),
+              ReadWhole(*world.monarch, name));
+  }
+  stats = world.monarch->Stats();
+  EXPECT_EQ(CircuitState::kClosed, stats.levels[0].circuit_state);
+  EXPECT_GT(stats.levels[0].reads, local_reads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResilienceLadder, ReadLadderTest,
+    ::testing::Values(LadderCase{false, false}, LadderCase{false, true},
+                      LadderCase{true, false}, LadderCase{true, true}),
+    [](const ::testing::TestParamInfo<LadderCase>& info) {
+      return std::string(info.param.zero_copy ? "ReadZeroCopy" : "Read") +
+             (info.param.pack ? "_Pack" : "_WholeFile");
+    });
 
 // ---------------------------------------------------------------------
 // Hard-down outage: the circuit opens, throughput degrades to the PFS

@@ -181,6 +181,39 @@ TEST_F(ChunkedReadTest, CorruptStagedChunkDegradesToPfs) {
   ExpectSliceMatches(**monarch, 0, 0, 2048);
 }
 
+// A truncated staged chunk is a corrupt copy in both lanes: the lease
+// lane's lent view is checked like the copy lane's read (a short view is
+// dropped and counted, never silently re-read), and the PFS serves.
+TEST_F(ChunkedReadTest, TruncatedChunkIsDroppedInBothLanes) {
+  auto monarch = Build("none");
+  ASSERT_OK(monarch);
+  const std::string name = workload::SmallFilePath(spec_, 0);
+  const std::string object = pack::ChunkObjectName(name, 0);
+  ExpectSliceMatches(**monarch, 0, 0, 1024);
+  monarch.value()->DrainPlacements();
+
+  for (const bool zero_copy : {false, true}) {
+    ASSERT_OK(local_->Write(object, std::vector<std::byte>(100)));
+    const auto corrupt_before = monarch.value()->Stats().fallbacks_corruption;
+    if (zero_copy) {
+      auto lease = monarch.value()->ReadZeroCopy(name, 0, 1024);
+      ASSERT_OK(lease);
+      const std::vector<std::byte> whole = Expected(0);
+      EXPECT_TRUE(std::equal(lease.value().data().begin(),
+                             lease.value().data().end(), whole.begin()));
+      EXPECT_EQ(1024u, lease.value().size());
+    } else {
+      ExpectSliceMatches(**monarch, 0, 0, 1024);
+    }
+    EXPECT_EQ(corrupt_before + 1,
+              monarch.value()->Stats().fallbacks_corruption)
+        << (zero_copy ? "ReadZeroCopy" : "Read");
+    // The dropped chunk is re-staged from the PFS read.
+    monarch.value()->DrainPlacements();
+    ASSERT_OK(local_->FileSize(object));
+  }
+}
+
 TEST_F(ChunkedReadTest, EvictionUnderPressureKeepsReadsCorrect) {
   // Quota holds ~3 files of chunks; LRU evicts chunk sets under pressure.
   auto monarch = Build("none", /*quota=*/12 * 1024, "lru");
