@@ -1,8 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the hot paths the
 // middleware touches on every read — CRC32C, TFRecord framing, the
-// metadata container's lookup tables, the placement thread pool, and the
-// end-to-end Monarch::Read overhead over an in-memory hierarchy (i.e.
-// the middleware's own cost with device models and disks taken out).
+// metadata container's lookup tables, and the end-to-end Monarch::Read
+// overhead over an in-memory hierarchy (i.e. the middleware's own cost
+// with device models and disks taken out).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -19,7 +19,6 @@
 #include "util/crc32c.h"
 #include "util/rng.h"
 #include "util/sharded_map.h"
-#include "util/thread_pool.h"
 
 namespace monarch {
 namespace {
@@ -95,20 +94,6 @@ void BM_ShardedMapInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedMapInsert)->Threads(1)->Threads(8);
-
-void BM_ThreadPoolDispatch(benchmark::State& state) {
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> remaining{64};
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&remaining] { remaining.fetch_sub(1); });
-    }
-    pool.Drain();
-    if (remaining.load() != 0) state.SkipWithError("lost tasks");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(6)->Arg(12);
 
 /// The middleware's own per-read overhead: Monarch::Read over in-memory
 /// engines (no device models), steady state (file already placed).

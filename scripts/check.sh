@@ -29,7 +29,7 @@ cmake --build build-tsan
 # staging").
 # One list feeds both legs, so a suite added here is never missed by the
 # rest-of-suite leg. scripts/tsan.supp says why its one entry is there.
-tsan_suites='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+tsan_suites='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:PackPeer*:Chunk*:Cleanup*:Qos*:FairQueue*:Admission*:RateLimiter*'
 export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp ${TSAN_OPTIONS:-}"
 ./build-tsan/tests/monarch_tests --gtest_filter="$tsan_suites"
 # ... and the rest of the suite.
@@ -40,9 +40,12 @@ cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
 cmake --build build-asan
 ./build-asan/tests/monarch_tests
 # Repeat leg: the ring's batch sort, the pack x peer rung and chunk
-# staging race placement and eviction; one pass rarely hits the window.
+# staging race placement and eviction, and the placement handler's one
+# claim/drop path serves staging, eviction, quarantine and cleanup; one
+# pass rarely hits the window.
 ./build-asan/tests/monarch_tests \
-    --gtest_filter='ReadRing*:PackPeer*:Chunk*' --gtest_repeat=20
+    --gtest_filter='ReadRing*:PackPeer*:Chunk*:PlacementHandler*:Eviction*:Cleanup*:QosPlacement*' \
+    --gtest_repeat=20
 
 echo "benches (quick pass):"
 MONARCH_BENCH_RUNS=1 MONARCH_BENCH_SCALE=0.15 MONARCH_BENCH_EPOCHS=2 \

@@ -831,14 +831,8 @@ void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
   }
 
   // First access to a PFS-resident file: claim it and stage a copy in the
-  // background (③/④). Any leading bytes the framework's request already
-  // pulled are donated to the placement task — the full file when the
-  // read covered it (old fast path), a prefix otherwise — so the staging
-  // pipeline never re-reads them from the PFS. The §III-B partial-read
-  // optimisation fetches the rest in the background (disabled => only
-  // full reads stage). Pack mode stages chunks, never whole files: the
-  // chunks the read touched are claimed, so PFS bytes scale with bytes
-  // *touched*.
+  // background (③/④) — the whole file, donating the bytes an offset-0
+  // read already pulled, or in pack mode the chunks the read touched.
   // Shard ownership (ISSUE 4): with a peer view installed, each node
   // stages only the files it owns — demand reads of peer-owned files go
   // owner-first / PFS-second and never trigger local staging. A read
@@ -847,8 +841,7 @@ void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
   // first owner's copy, and without this their replicas would never
   // materialise — the donated bytes mean the copy costs no extra PFS
   // traffic.
-  const bool stage = fetched && (cm == nullptr || !served.empty()) &&
-                     !placement_->stopped() &&
+  const bool stage = fetched && !placement_->stopped() &&
                      StagesHere(config_.peer_view, info->name);
   // An offset-0 read (file open) re-arms a file whose last staging was
   // refused (by the eviction policy, or for space); later reads of the
@@ -857,34 +850,9 @@ void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
     info->stage_refused.store(false, std::memory_order_release);
   }
   if (stage && !info->stage_refused.load(std::memory_order_acquire)) {
-    const bool full_read = offset == 0 && served.size() == info->size;
-    if (cm != nullptr) {
-      std::vector<std::uint32_t> claimed;
-      const std::uint32_t last = cm->ChunkOf(offset + served.size() - 1);
-      for (std::uint32_t c = cm->ChunkOf(offset); c <= last; ++c) {
-        if (!cm->IsResident(c) && cm->TryClaim(c)) claimed.push_back(c);
-      }
-      if (!claimed.empty()) {
-        placement_->ScheduleChunkPlacement(info, std::move(claimed));
-      }
-    } else if (full_read ||
-               placement_->options().fetch_full_file_on_partial_read) {
-      if (info->TryBeginFetch()) {
-        std::optional<std::vector<std::byte>> content;
-        if (offset == 0 && !served.empty()) {
-          // The copy happens ONLY when a staging task actually claims
-          // the file — never on the per-read hot path.
-          content.emplace(served.begin(), served.end());
-        }
-        placement_->SchedulePlacement(info, std::move(content));
-      } else if (info->state.load(std::memory_order_acquire) ==
-                 PlacementState::kFetching) {
-        // Someone else holds the fetch — possibly a hint still queued
-        // behind other speculative work. Demand has overtaken it: move
-        // it to the demand lane.
-        placement_->PromoteToDemand(info);
-      }
-    }
+    placement_->Stage(info, {.offset = offset,
+                             .length = served.size(),
+                             .served = served});
   }
 
   // Keep the look-ahead window rolling: a demand read of a hinted file
@@ -908,7 +876,7 @@ bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
   MLOG_WARN << "read of '" << info->name << "' from tier '"
             << hierarchy_->Level(level).name()
             << "' failed CRC verification; quarantining the copy";
-  placement_->QuarantineCopy(info);
+  placement_->DropCopy(info, DropCause::kQuarantine);
   return false;
 }
 
@@ -1003,32 +971,8 @@ void Monarch::TopUpPrefetch() {
     // Hints for peer-owned files are skipped, not claimed: the owner
     // stages them and this node reads them over the interconnect.
     if (!StagesHere(config_.peer_view, info->name)) continue;
-    ScheduleWholeFile(std::move(info), StagingLane::kPrefetch,
-                      /*prefetch=*/true);
+    placement_->Stage(info, {.lane = StagingLane::kPrefetch, .hint = true});
   }
-}
-
-bool Monarch::ScheduleWholeFile(FileInfoPtr info, StagingLane lane,
-                                bool prefetch) {
-  if (placement_->options().pack.enabled) {
-    // Chunked files are staged whole, but chunk by chunk: claim every
-    // non-resident chunk instead of the file-level fetch flag.
-    pack::ChunkMap* cm =
-        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-    std::vector<std::uint32_t> chunks;
-    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-    }
-    if (chunks.empty()) return false;
-    if (prefetch) info->prefetched.store(true, std::memory_order_release);
-    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       lane);
-    return true;
-  }
-  if (!info->TryBeginFetch()) return false;
-  if (prefetch) info->prefetched.store(true, std::memory_order_release);
-  placement_->SchedulePlacement(std::move(info), std::nullopt, lane);
-  return true;
 }
 
 Result<std::uint64_t> Monarch::FileSize(std::string_view name) {
@@ -1043,7 +987,7 @@ std::uint64_t Monarch::Prestage(bool block) {
     // rest of the dataset reaches it through the peer tier.
     if (!StagesHere(config_.peer_view, entry.name)) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (info && ScheduleWholeFile(std::move(info), StagingLane::kDemand)) {
+    if (info && placement_->Stage(info, {})) {
       ++scheduled;
     }
   }
@@ -1063,31 +1007,13 @@ Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
   const std::uint64_t size = info->size;
   // Repair rides the PREFETCH lane: the two-lane pipeline guarantees it
   // parks behind demand staging and respects the in-flight byte caps.
-  return ScheduleWholeFile(std::move(info), StagingLane::kPrefetch)
+  return placement_->Stage(info, {.lane = StagingLane::kPrefetch})
              ? size
              : std::uint64_t{0};
 }
 
 std::uint64_t Monarch::ReadvertisePlacedCopies() {
-  if (config_.peer_view == nullptr) return 0;
-  std::uint64_t readvertised = 0;
-  for (const auto& entry : metadata_.Snapshot()) {
-    if (entry.state != PlacementState::kPlaced) continue;
-    FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info ||
-        info->state.load(std::memory_order_acquire) != PlacementState::kPlaced) {
-      continue;
-    }
-    // A chunked file is advertised only while its copy is complete.
-    if (const pack::ChunkMap* cm = info->chunk_map();
-        cm != nullptr && cm->ResidentCount() != cm->num_chunks()) {
-      continue;
-    }
-    config_.peer_view->OnStaged(entry.name,
-                                info->level.load(std::memory_order_acquire));
-    ++readvertised;
-  }
-  return readvertised;
+  return placement_->ReadvertiseCopies();
 }
 
 void Monarch::StopPlacement() noexcept {
@@ -1101,43 +1027,7 @@ void Monarch::StopPlacement() noexcept {
 void Monarch::DrainPlacements() { placement_->Drain(); }
 
 std::uint64_t Monarch::CleanupStagedCopies() {
-  // Quiesce staging first so no copy lands after its delete.
-  placement_->StopScheduling();
-  placement_->Drain();
-
-  const int pfs_level = hierarchy_->pfs_level();
-  std::uint64_t removed = 0;
-  for (const auto& entry : metadata_.Snapshot()) {
-    if (entry.state != PlacementState::kPlaced) continue;
-    FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info) continue;
-    // Chunk-resident files drop all their chunk objects through the
-    // placement handler (which also flips the state back to PFS-only).
-    if (pack::ChunkMap* cm = info->chunk_map();
-        cm != nullptr && cm->ResidentCount() > 0) {
-      if (placement_->EvictChunkCopies(info) > 0) ++removed;
-      continue;
-    }
-    // Claim the file (kPlaced -> kFetching) so concurrent readers stop
-    // trusting the tier copy, then revert it to PFS-resident.
-    PlacementState expected = PlacementState::kPlaced;
-    if (!info->state.compare_exchange_strong(expected,
-                                             PlacementState::kFetching,
-                                             std::memory_order_acq_rel)) {
-      continue;
-    }
-    const int level = info->level.load(std::memory_order_acquire);
-    info->level.store(pfs_level, std::memory_order_release);
-    info->AbortFetch(/*permanently=*/false);
-    // Retract the cluster-directory advertisement before the bytes go.
-    if (config_.peer_view != nullptr) config_.peer_view->OnDropped(info->name);
-    StorageDriver& tier = hierarchy_->Level(level);
-    if (tier.Delete(info->name).ok()) {
-      tier.Release(info->size);
-      ++removed;
-    }
-  }
-  return removed;
+  return placement_->DropAllCopies();
 }
 
 void Monarch::Shutdown() {
@@ -1146,11 +1036,9 @@ void Monarch::Shutdown() {
   // Quiesce the async ring first: queued ops cancel, in-flight ops finish
   // against a still-fully-alive instance, workers join.
   if (ring_) ring_->Shutdown();
-  if (config_.cleanup_staged_on_shutdown) CleanupStagedCopies();
-  placement_->StopScheduling();
-  hints_active_.store(false, std::memory_order_release);
   // Don't make shutdown wait on speculative copies that nothing will read.
-  placement_->CancelPrefetches();
+  StopPlacement();
+  if (config_.cleanup_staged_on_shutdown) CleanupStagedCopies();
   placement_->Drain();
 }
 

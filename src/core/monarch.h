@@ -251,9 +251,10 @@ class Monarch {
 
   /// Delete every staged copy from the writable tiers and reset their
   /// occupancy — the ephemeral teardown of §III-A (HPC jobs leave the
-  /// node's scratch storage clean). Files revert to PFS-resident state,
-  /// so the instance remains usable. Returns the number of copies
-  /// removed. Called automatically by Shutdown() when
+  /// node's scratch storage clean). Staging pauses for the sweep and read
+  /// pins are honoured; files revert to PFS-resident state, so the
+  /// instance remains usable and later reads stage again (unless
+  /// placement was stopped). Returns the number of copies removed. Called automatically by Shutdown() when
   /// MonarchConfig::cleanup_staged_on_shutdown is set.
   std::uint64_t CleanupStagedCopies();
 
@@ -325,11 +326,9 @@ class Monarch {
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Tail of the read path, given the bytes `served` from `level`: serve
-  /// counters and prefetch-hit bookkeeping, then staging by mode — whole-
-  /// file mode stages a file the peer or the PFS served (an offset-0
-  /// read donates its bytes), pack mode (`cm` non-null) counts a chunk
-  /// hit or miss and claims the touched chunks — and the prefetch-cursor
-  /// advance.
+  /// counters, chunk hit/miss (pack mode, `cm` non-null) and prefetch-hit
+  /// bookkeeping, the staging trigger for a read the peer or the PFS
+  /// served, and the prefetch-cursor advance.
   void FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
                   std::string_view name, int level, std::uint64_t offset,
                   std::span<const std::byte> served);
@@ -390,13 +389,6 @@ class Monarch {
   /// PFS-only and enqueue them on the prefetch lane. Caller must NOT hold
   /// hint_mu_.
   void TopUpPrefetch();
-
-  /// Claim `info` whole for staging on `lane` — every non-resident chunk
-  /// in pack mode, the file-level fetch flag otherwise — and enqueue it,
-  /// marked `prefetched` when a look-ahead hint asked. False when there
-  /// was nothing to claim (resident, or another stager holds it).
-  bool ScheduleWholeFile(FileInfoPtr info, StagingLane lane,
-                         bool prefetch = false);
 
   MonarchConfig config_;
   std::unique_ptr<StorageHierarchy> hierarchy_;

@@ -25,6 +25,14 @@ qos::TenantContext SnapshotTenant() {
   return ambient != nullptr ? *ambient : qos::TenantContext{};
 }
 
+Status ShortPfsRead(const std::string& name, std::uint64_t offset,
+                    std::size_t got, std::size_t want) {
+  return InternalError("short PFS read of '" + name + "' at " +
+                       std::to_string(offset) + ": got " +
+                       std::to_string(got) + " of " + std::to_string(want) +
+                       " bytes");
+}
+
 }  // namespace
 
 int PlacementHandler::TaskClass(const StagingTask& task) noexcept {
@@ -152,58 +160,84 @@ PlacementHandler::~PlacementHandler() {
   CancelPrefetches();
 }
 
-void PlacementHandler::SchedulePlacement(
-    FileInfoPtr file, std::optional<std::vector<std::byte>> content,
-    StagingLane lane) {
+bool PlacementHandler::Stage(const FileInfoPtr& file,
+                             const StageRequest& request) {
+  StagingTask task;
+  if (options_.pack.enabled) {
+    // Pack mode claims the chunks the range overlaps, so PFS bytes scale
+    // with bytes touched. A file past the failure cap claims no more;
+    // its resident chunks keep serving.
+    if (request.offset >= file->size || request.length == 0 ||
+        file->fetch_failures.load(std::memory_order_acquire) >=
+            resilience_.max_placement_attempts) {
+      return false;
+    }
+    pack::ChunkMap* cm = file->EnsureChunkMap(options_.pack.chunk_bytes);
+    const std::uint64_t end =
+        request.offset + std::min(request.length, file->size - request.offset);
+    for (std::uint32_t c = cm->ChunkOf(request.offset);
+         c <= cm->ChunkOf(end - 1); ++c) {
+      if (cm->TryClaim(c)) task.chunks.push_back(c);
+    }
+    if (task.chunks.empty()) return false;
+  } else {
+    // The §III-B partial-read optimisation fetches the whole file in the
+    // background (disabled => only full reads stage).
+    if ((request.offset != 0 || request.length < file->size) &&
+        !options_.fetch_full_file_on_partial_read) {
+      return false;
+    }
+    if (!file->TryBeginFetch()) {
+      // Someone else holds the fetch — possibly a hint still queued
+      // behind other speculative work. Demand has overtaken it: move it
+      // to the demand lane.
+      if (request.lane == StagingLane::kDemand &&
+          file->state.load(std::memory_order_acquire) ==
+              PlacementState::kFetching) {
+        PromoteToDemand(file);
+      }
+      return false;
+    }
+    // The task owns the bytes the read path already fetched, avoiding a
+    // second PFS read (§III-B, ③/④); they are copied only once the claim
+    // is won, never on the per-read hot path.
+    if (request.offset == 0 && !request.served.empty()) {
+      task.content.emplace(request.served.begin(), request.served.end());
+    }
+  }
+  task.file = file;
+  task.lane = request.lane;
+  task.tenant = SnapshotTenant();
+  const bool prefetch = request.lane == StagingLane::kPrefetch;
   if (stopped_.load(std::memory_order_relaxed)) {
-    if (lane == StagingLane::kPrefetch) {
+    if (prefetch) {
       prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
       file->prefetched.store(false, std::memory_order_relaxed);
     }
-    file->AbortFetch(/*permanently=*/false);
-    return;
+    ReleaseClaims(task);
+    return true;
   }
+  if (request.hint) file->prefetched.store(true, std::memory_order_release);
   scheduled_.fetch_add(1, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
-    prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The task owns the FileInfo reference and (optionally) the bytes the
-  // read path already fetched, avoiding a second PFS read (§III-B, ③/④).
-  StagingTask task{std::move(file), std::move(content), lane, {},
-                   SnapshotTenant()};
+  if (prefetch) prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard lock(mu_);
     PushLocked(std::move(task));
   }
   cv_.notify_one();
+  return true;
 }
 
-void PlacementHandler::ScheduleChunkPlacement(FileInfoPtr file,
-                                              std::vector<std::uint32_t> chunks,
-                                              StagingLane lane) {
-  if (chunks.empty()) return;
-  StagingTask task;
-  task.file = std::move(file);
-  task.lane = lane;
-  task.chunks = std::move(chunks);
-  task.tenant = SnapshotTenant();
-  if (stopped_.load(std::memory_order_relaxed)) {
-    if (lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      task.file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    ReleaseChunkClaims(task);
+void PlacementHandler::ReleaseClaims(const StagingTask& task,
+                                     bool permanently) {
+  if (task.chunks.empty()) {
+    task.file->AbortFetch(permanently);
     return;
   }
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
-    prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard lock(mu_);
-    PushLocked(std::move(task));
-  }
-  cv_.notify_one();
+  pack::ChunkMap* cm = task.file->chunk_map();
+  for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
+  std::lock_guard lock(cm->placement_mutex());
+  cm->MaybeResetTier();
 }
 
 bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
@@ -248,13 +282,7 @@ std::size_t PlacementHandler::CancelPrefetches() {
   }
   for (const StagingTask& task : cancelled) {
     task.file->prefetched.store(false, std::memory_order_relaxed);
-    if (task.chunks.empty()) {
-      task.file->AbortFetch(/*permanently=*/false);
-    } else {
-      // Chunk tasks never claimed the file-level fetch; just hand the
-      // chunk claims back so a later read can re-trigger staging.
-      ReleaseChunkClaims(task);
-    }
+    ReleaseClaims(task);
     prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
   }
   drain_cv_.notify_all();
@@ -280,11 +308,7 @@ void PlacementHandler::WorkerLoop() {
     // byte the copy moves stays attributable across the thread hop.
     const qos::TenantContext tenant = task.tenant;
     qos::ScopedTenant scope(tenant);
-    if (task.chunks.empty()) {
-      PlaceFile(std::move(task));
-    } else {
-      PlaceChunks(std::move(task));
-    }
+    Place(std::move(task));
     {
       std::lock_guard lock(mu_);
       --active_;
@@ -324,12 +348,22 @@ void PlacementHandler::FinishInflight(int level, std::uint64_t size) {
   if (wake) cv_.notify_all();
 }
 
-void PlacementHandler::RecordStagingFailure(const FileInfoPtr& file) {
+void PlacementHandler::RecordStagingFailure(const StagingTask& task) {
+  const FileInfoPtr& file = task.file;
   failed_.fetch_add(1, std::memory_order_relaxed);
+  if (!task.chunks.empty()) {
+    chunk_failures_.fetch_add(1, std::memory_order_relaxed);
+  }
   file->prefetched.store(false, std::memory_order_relaxed);
   const int failures =
       file->fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (failures >= resilience_.max_placement_attempts) {
+  const bool abandon = failures >= resilience_.max_placement_attempts;
+  if (!abandon) {
+    retries_.fetch_add(1, std::memory_order_relaxed);
+  } else if (failures == std::max(1, resilience_.max_placement_attempts)) {
+    // Only the attempt that reaches the cap abandons the file: a chunked
+    // file's tasks run concurrently, and one already in flight may fail
+    // past the cap.
     abandoned_.fetch_add(1, std::memory_order_relaxed);
     obs::EventTracer& tracer = obs::EventTracer::Global();
     if (tracer.enabled()) {
@@ -339,11 +373,8 @@ void PlacementHandler::RecordStagingFailure(const FileInfoPtr& file) {
     }
     MLOG_WARN << "giving up staging '" << file->name << "' after " << failures
               << " failed attempts; it stays PFS-resident";
-    file->AbortFetch(/*permanently=*/true);
-  } else {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    file->AbortFetch(/*permanently=*/false);
   }
+  ReleaseClaims(task, /*permanently=*/abandon);
 }
 
 Status PlacementHandler::StreamCopy(
@@ -380,10 +411,7 @@ Status PlacementHandler::StreamCopy(
       auto read = hierarchy_.Pfs().Read(file->name, offset, buffer);
       if (!read.ok()) return read.status();
       if (read.value() != n) {
-        return InternalError("short PFS read of '" + file->name + "' at " +
-                             std::to_string(offset) + ": got " +
-                             std::to_string(read.value()) + " of " +
-                             std::to_string(n) + " bytes");
+        return ShortPfsRead(file->name, offset, read.value(), n);
       }
       crc = Crc32c(buffer, crc);
       MONARCH_RETURN_IF_ERROR(destination.WriteAt(file->name, offset, buffer));
@@ -413,85 +441,106 @@ bool PlacementHandler::VerifyStagedCopy(const FileInfoPtr& file,
   return readback_crc == crc;
 }
 
-void PlacementHandler::PlaceFile(StagingTask task) {
+void PlacementHandler::Place(StagingTask task) {
   // Own reference, not an alias into the task: parking moves the task
   // into `deferred_`, which would leave `task.file` null.
   const FileInfoPtr file = task.file;
-  // Spans the whole schedule→complete staging of one file. Args are only
+  const bool chunked = !task.chunks.empty();
+  const bool prefetch = task.lane == StagingLane::kPrefetch;
+  // Spans the whole schedule→complete staging of one task. Args are only
   // rendered when tracing is live (active() gate).
-  obs::TraceSpan span("placement.stage", "placement");
+  obs::TraceSpan span(chunked ? "pack.stage" : "placement.stage", "placement");
   if (span.active()) {
-    span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
-                       ",\"bytes\":" + std::to_string(file->size) +
-                       ",\"lane\":\"" + LaneName(task.lane) + "\"");
+    span.set_args_json(
+        "\"file\":" + obs::JsonQuote(file->name) +
+        (chunked ? ",\"chunks\":" + std::to_string(task.chunks.size())
+                 : ",\"bytes\":" + std::to_string(file->size)) +
+        ",\"lane\":\"" + LaneName(task.lane) + "\"");
   }
 
   // Scan resistance (ISSUE 10): a low-retention tenant past its
   // resident cap is refused — its reads keep being served straight from
   // the PFS instead of churning the cache tiers.
-  const bool low_retention = task.tenant.low_retention;
   const std::uint64_t scan_cap = options_.qos.scan_stage_cap_bytes;
-  if (low_retention && scan_cap > 0 &&
+  if (task.tenant.low_retention && scan_cap > 0 &&
       low_retention_resident_bytes_.load(std::memory_order_relaxed) +
               file->size >
           scan_cap) {
     scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
     scan_refusal_counter_->Increment();
-    if (task.lane == StagingLane::kPrefetch) {
+    if (prefetch) {
       prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
       file->prefetched.store(false, std::memory_order_relaxed);
     }
     file->stage_refused.store(true, std::memory_order_release);
-    file->AbortFetch(/*permanently=*/false);
+    ReleaseClaims(task);
     return;
   }
 
-  // 1. Choose (and reserve) the destination level, falling back to
-  // policy-driven eviction when no tier has room (EvictAndReserve gates
-  // on what the policy and lane allow).
-  std::optional<int> level = policy_->PickLevel(hierarchy_, file->size);
-  if (!level.has_value()) level = EvictAndReserve(file, task.lane, file->size);
-  if (!level.has_value()) {
+  const CopyResult result = chunked ? CopyChunks(task) : CopyFile(task);
+  if (result.kind == CopyResult::kPublished ||
+      result.kind == CopyResult::kParked) {
+    return;
+  }
+  // Only the claims the loop did not publish go back.
+  task.chunks.erase(task.chunks.begin(),
+                    task.chunks.begin() +
+                        static_cast<std::ptrdiff_t>(result.next));
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (result.kind == CopyResult::kNoSpace) {
     rejected_no_space_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
     if (tracer.enabled()) {
       tracer.RecordInstant("placement.rejected_no_space", "placement",
                            "\"file\":" + obs::JsonQuote(file->name));
     }
-    if (task.lane == StagingLane::kPrefetch) {
-      // A prefetch rejection is never permanent: a later demand read may
-      // still place the file (e.g. after evictions free room).
+    // A prefetch rejection is never permanent: a later demand read may
+    // still place the file. Under eviction headroom is dynamic — the
+    // rejection only means the policy protected every current resident
+    // (or lost the claim races) — and a chunked file may fit chunk by
+    // chunk later, so both stay retryable, with stage_refused latched so
+    // chunked readers retry once per file open instead of once per
+    // chunk. Otherwise no tier can hold the file and nothing will ever
+    // be evicted: it stays PFS-resident for the whole job (the
+    // 200 GiB-dataset scenario).
+    const bool retryable = prefetch || chunked || MayEvict(task.lane);
+    if (prefetch) {
       prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
       file->prefetched.store(false, std::memory_order_relaxed);
-      file->AbortFetch(/*permanently=*/false);
-    } else if (options_.enable_eviction || policy_->EvictsUnderPressure()) {
-      // Eviction makes quota headroom dynamic: this rejection only means
-      // the policy protected every current resident (or lost the claim
-      // races), not that the file can never fit. Leave it retryable so a
-      // later access tries again against the then-current occupancy —
-      // but latch stage_refused so chunked readers retry once per file
-      // open instead of once per chunk.
+    } else if (retryable) {
       file->stage_refused.store(true, std::memory_order_release);
-      file->AbortFetch(/*permanently=*/false);
-    } else {
-      // No tier can hold the file and nothing will ever be evicted: it
-      // stays PFS-resident for the whole job (the 200 GiB-dataset
-      // scenario). Mark it so the read path stops retrying placement on
-      // every access.
-      file->AbortFetch(/*permanently=*/true);
     }
+    ReleaseClaims(task, /*permanently=*/!retryable);
     return;
   }
+  if (result.kind == CopyResult::kCorrupt) {
+    // The copy failed its read-back: it was deleted before it ever
+    // served, and counts as a failed attempt.
+    quarantined_.fetch_add(1, std::memory_order_relaxed);
+    if (tracer.enabled()) {
+      tracer.RecordInstant("placement.quarantine", "resilience",
+                           "\"file\":" + obs::JsonQuote(file->name) +
+                               ",\"tier\":" + obs::JsonQuote(result.tier) +
+                               ",\"phase\":\"stage\"");
+    }
+  }
+  MLOG_WARN << "staging of '" << file->name << "' failed: " << result.error;
+  RecordStagingFailure(task);
+}
 
+PlacementHandler::CopyResult PlacementHandler::CopyFile(StagingTask& task) {
+  const FileInfoPtr file = task.file;
+  // 1. Choose (and reserve) the destination level, evicting when no
+  // tier has room and the lane may.
+  const std::optional<int> level = ReserveSpace(file, task.lane, file->size);
+  if (!level.has_value()) return {CopyResult::kNoSpace};
   StorageDriver& destination = hierarchy_.Level(*level);
 
   // 2. Per-tier staging-bandwidth cap: a prefetch copy parks while the
   // tier is saturated (any completion on the tier un-parks it); demand
   // copies are exempt so a read-triggered stage never waits here.
-  const StagingLane lane = task.lane;
   if (!AdmitInflight(*level, task)) {
     destination.Release(file->size);
-    return;
+    return {CopyResult::kParked};
   }
 
   // 3. Copy. A full-content task (the triggering read covered the whole
@@ -505,198 +554,349 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   } else {
     written = StreamCopy(file, task.content, destination, crc);
   }
-  if (!written.ok()) {
-    MLOG_WARN << "placement copy of '" << file->name << "' to tier '"
-              << destination.name() << "' failed: " << written;
-    // A chunked copy may have landed a partial file; remove it so a
-    // retry starts clean and readers never see a truncated copy.
-    (void)destination.Delete(file->name);
-    destination.Release(file->size);
-    FinishInflight(*level, file->size);
-    RecordStagingFailure(file);
-    return;
-  }
 
   // 4. Optionally read the copy back (chunked, bounded memory) and prove
   // the bytes landed intact — a corrupted staged copy must degrade to a
   // failed placement, never get published as a serving replica.
-  if (resilience_.verify_staged_writes &&
-      !VerifyStagedCopy(file, destination, crc)) {
-    MLOG_WARN << "staged copy of '" << file->name << "' on tier '"
-              << destination.name() << "' failed verification; deleting";
-    // We still hold the Reserve for this copy, so the quota comes back
-    // whether or not the delete found anything on disk.
+  CopyResult result{CopyResult::kPublished};
+  if (!written.ok()) {
+    result = {CopyResult::kFailed, written};
+  } else if (resilience_.verify_staged_writes &&
+             !VerifyStagedCopy(file, destination, crc)) {
+    result = {CopyResult::kCorrupt,
+              DataLossError("staged copy failed verification"),
+              destination.name()};
+  }
+  if (result.kind != CopyResult::kPublished) {
+    // Remove a partial or corrupt copy so a retry starts clean and
+    // readers never see it. We still hold the Reserve, so the quota
+    // comes back whether or not the delete found anything on disk.
     (void)destination.Delete(file->name);
     destination.Release(file->size);
     FinishInflight(*level, file->size);
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.quarantine", "resilience",
-                           "\"file\":" + obs::JsonQuote(file->name) +
-                               ",\"tier\":" +
-                               obs::JsonQuote(destination.name()) +
-                               ",\"phase\":\"stage\"");
-    }
-    RecordStagingFailure(file);
-    return;
+    return result;
   }
 
   // Record the checksum before publishing the level so any reader that
   // observes kPlaced also observes the CRC it may verify against.
   file->staged_crc.store(crc, std::memory_order_release);
-  file->fetch_failures.store(0, std::memory_order_relaxed);
-  if (low_retention) {
-    if (!file->low_retention.exchange(true, std::memory_order_acq_rel)) {
-      low_retention_resident_bytes_.fetch_add(file->size,
+  PublishFile(*file, *level, task);
+  // Advertise the copy to the cluster once it is actually readable.
+  if (peer_view_ != nullptr) peer_view_->OnStaged(file->name, *level);
+  bytes_staged_.fetch_add(file->size, std::memory_order_relaxed);
+  FinishInflight(*level, file->size);
+  return result;
+}
+
+PlacementHandler::CopyResult PlacementHandler::CopyChunks(
+    const StagingTask& task) {
+  const FileInfoPtr& file = task.file;
+  pack::ChunkMap& cm = *file->chunk_map();  // claims imply a map
+  // One pooled lease carries the logical bytes of every chunk in the
+  // task (pack.chunk_bytes is clamped to the pool's chunk size); the
+  // codec output and verification scratch are reused across chunks.
+  BufferPool::Lease lease = pool_.Acquire();
+  std::vector<std::byte> encoded;
+  std::vector<std::byte> readback;
+  for (std::size_t next = 0; next < task.chunks.size(); ++next) {
+    const std::uint32_t c = task.chunks[next];
+    const std::uint64_t offset = cm.ChunkOffset(c);
+    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+    const std::span<std::byte> logical(lease.bytes().data(), logical_n);
+    auto read = hierarchy_.Pfs().Read(file->name, offset, logical);
+    if (!read.ok()) return {CopyResult::kFailed, read.status(), {}, next};
+    if (read.value() != logical_n) {
+      return {CopyResult::kFailed,
+              ShortPfsRead(file->name, offset, read.value(), logical_n), {},
+              next};
+    }
+    pack::ChunkMap::ChunkMeta meta;
+    meta.crc_logical = Crc32c(logical);
+    std::span<const std::byte> stored(logical);
+    if (codec_ != nullptr) {
+      const Status encoded_ok = codec_->Encode(logical, encoded);
+      if (!encoded_ok.ok()) return {CopyResult::kFailed, encoded_ok, {}, next};
+      stored = encoded;
+    }
+    meta.stored_bytes = static_cast<std::uint32_t>(stored.size());
+    meta.crc_stored = Crc32c(stored);
+
+    const std::optional<int> level =
+        ReserveChunk(file, cm, stored.size(), task.lane);
+    if (!level.has_value()) return {CopyResult::kNoSpace, {}, {}, next};
+    StorageDriver& tier = hierarchy_.Level(*level);
+    const std::string object = pack::ChunkObjectName(file->name, c);
+    CopyResult result{CopyResult::kPublished};
+    if (Status written = tier.Write(object, stored); !written.ok()) {
+      result = {CopyResult::kFailed, written, {}, next};
+    } else if (resilience_.verify_staged_writes) {
+      readback.resize(stored.size());
+      auto rb = tier.Read(object, 0, readback);
+      if (!rb.ok() || rb.value() != stored.size() ||
+          Crc32c(std::span<const std::byte>(readback)) != meta.crc_stored) {
+        result = {CopyResult::kCorrupt,
+                  DataLossError("staged chunk failed verification: " + object),
+                  tier.name(), next};
+      }
+    }
+    if (result.kind != CopyResult::kPublished) {
+      (void)tier.Delete(object);
+      tier.Release(stored.size());
+      return result;
+    }
+    {
+      std::lock_guard lock(cm.placement_mutex());
+      const std::uint32_t resident = cm.Publish(c, meta);
+      // Advertise the copy once it is complete — peers fetch chunked
+      // files whole. Under the placement mutex, so the ad can never be
+      // ordered after a concurrent eviction's retraction.
+      if (resident == cm.num_chunks() && peer_view_ != nullptr) {
+        peer_view_->OnStaged(file->name, *level);
+      }
+      // First resident chunk: the file now serves (partially) from a
+      // tier, so the eviction policies see it as placed.
+      if (resident == 1) PublishFile(*file, *level, task);
+    }
+    chunks_staged_.fetch_add(1, std::memory_order_relaxed);
+    chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
+    bytes_staged_.fetch_add(logical_n, std::memory_order_relaxed);
+    chunk_staged_counter_->Increment();
+    chunk_stored_bytes_counter_->Increment(stored.size());
+  }
+  return {CopyResult::kPublished};
+}
+
+void PlacementHandler::PublishFile(FileInfo& file, int level,
+                                   const StagingTask& task) {
+  file.fetch_failures.store(0, std::memory_order_relaxed);
+  if (task.tenant.low_retention) {
+    if (!file.low_retention.exchange(true, std::memory_order_acq_rel)) {
+      low_retention_resident_bytes_.fetch_add(file.size,
                                               std::memory_order_relaxed);
     }
   } else {
     // A demand-class tenant re-staged the file: its copy is a working-
     // set member again, protected from low-retention evictors.
-    NoteCopyDropped(*file);
+    NoteCopyDropped(file);
   }
-  file->FinishFetch(*level);
-  // Advertise the copy to the cluster once it is actually readable.
-  if (peer_view_ != nullptr) peer_view_->OnStaged(file->name, *level);
+  file.FinishFetch(level);
   completed_.fetch_add(1, std::memory_order_relaxed);
-  bytes_staged_.fetch_add(file->size, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
+  if (task.lane == StagingLane::kPrefetch) {
     prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
   }
-  FinishInflight(*level, file->size);
 }
 
-bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
-  // Claim the file exactly like an eviction: kPlaced -> kFetching stops
-  // concurrent readers from trusting its level while we delete the copy.
-  PlacementState expected = PlacementState::kPlaced;
-  if (!file->state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                           std::memory_order_acq_rel)) {
-    return false;  // already being fetched/evicted/quarantined elsewhere
-  }
-  const int level = file->level.load(std::memory_order_acquire);
-  if (level == hierarchy_.pfs_level()) {
-    // Nothing staged to quarantine (level already points at the source).
-    file->state.store(PlacementState::kPlaced, std::memory_order_release);
-    return false;
-  }
-  StorageDriver& tier = hierarchy_.Level(level);
-  file->level.store(hierarchy_.pfs_level(), std::memory_order_release);
-  if (peer_view_ != nullptr) peer_view_->OnDropped(file->name);
-  if (tier.Delete(file->name).ok()) {
-    tier.Release(file->size);
-  }
-  NoteCopyDropped(*file);
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.quarantine", "resilience",
-                         "\"file\":" + obs::JsonQuote(file->name) +
-                             ",\"tier\":" + obs::JsonQuote(tier.name()) +
-                             ",\"phase\":\"read\"");
-  }
-  MLOG_WARN << "quarantined corrupt copy of '" << file->name << "' on tier '"
-            << tier.name() << "'; reads fall back to the PFS";
-  // A corrupt copy counts toward the per-file cap so persistent
-  // corruption eventually parks the file as unplaceable; with
-  // restage_after_quarantine off the file is parked immediately.
-  const int failures =
-      file->fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  file->AbortFetch(/*permanently=*/!resilience_.restage_after_quarantine ||
-                   failures >= resilience_.max_placement_attempts);
-  return true;
-}
-
-bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
-  FileInfo& vf = *victim;
+bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
+  FileInfo& f = *file;
   // Scan resistance (ISSUE 10): a low-retention requester may only
   // evict other low-retention copies — it can never push out a demand
   // working set, so `qos.cross_class_evictions` stays zero by
   // construction.
   const qos::TenantContext* requester = qos::CurrentTenant();
-  if (requester != nullptr && requester->low_retention &&
-      !vf.low_retention.load(std::memory_order_acquire)) {
+  const bool scan_evictor = cause == DropCause::kEvict &&
+                            requester != nullptr && requester->low_retention;
+  if (scan_evictor && !f.low_retention.load(std::memory_order_acquire)) {
     return false;
   }
-  // Chunk-resident victims (pack mode) hold per-chunk quota and tier
-  // objects, not a whole-file copy: drop them through the chunk path.
-  if (pack::ChunkMap* cm = vf.chunk_map();
-      cm != nullptr && cm->ResidentCount() > 0) {
-    return EvictChunks(victim,
-                       std::numeric_limits<std::uint64_t>::max()) > 0;
-  }
-  // Claim the victim: kPlaced -> kFetching blocks concurrent readers
-  // from trusting its level while we delete the copy.
+  // Claim the copy: kPlaced -> kFetching stops concurrent readers from
+  // trusting its level while the bytes go.
   PlacementState expected = PlacementState::kPlaced;
-  if (!vf.state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                        std::memory_order_acq_rel)) {
+  if (!f.state.compare_exchange_strong(expected, PlacementState::kFetching,
+                                       std::memory_order_acq_rel)) {
     return false;
   }
   // Read pins (ISSUE 6): a demand read is mid-flight on this file's
   // staged copy. Revert the claim — its bytes stay until the read ends.
   // The pin is checked after the claim so a reader that pinned first is
   // always honoured; one that pins after this check degrades to the
-  // pre-pinning behaviour (kNotFound -> PFS fallback).
-  if (vf.read_pins.load(std::memory_order_acquire) > 0) {
-    vf.state.store(PlacementState::kPlaced, std::memory_order_release);
+  // pre-pinning behaviour (kNotFound -> PFS fallback). A quarantine
+  // comes from the pinned reader that caught the corruption.
+  if (cause != DropCause::kQuarantine &&
+      f.read_pins.load(std::memory_order_acquire) > 0) {
+    f.state.store(PlacementState::kPlaced, std::memory_order_release);
     eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const int victim_level = vf.level.load(std::memory_order_acquire);
-  if (victim_level == hierarchy_.pfs_level()) {
-    // Nothing staged (stale snapshot); leave the file as we found it.
-    vf.state.store(PlacementState::kPlaced, std::memory_order_release);
-    return false;
+  const bool victim_low_retention =
+      f.low_retention.load(std::memory_order_acquire);
+  const int pfs = hierarchy_.pfs_level();
+  StorageDriver* tier = nullptr;
+  std::uint64_t freed = 0;
+  std::uint64_t chunks = 0;
+  bool dropped = false;
+  // Reset once the bytes are gone, so a re-stage never races the delete.
+  const auto reset = [&] {
+    f.level.store(pfs, std::memory_order_release);
+    NoteCopyDropped(f);
+    bool permanently = false;
+    if (cause == DropCause::kQuarantine) {
+      // A corrupt copy counts toward the per-file cap so persistent
+      // corruption eventually parks the file as unplaceable; with
+      // restage_after_quarantine off it is parked immediately.
+      const int failures =
+          f.fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
+      permanently = !resilience_.restage_after_quarantine ||
+                    failures >= resilience_.max_placement_attempts;
+    }
+    f.AbortFetch(permanently);
+  };
+  if (pack::ChunkMap* cm = f.chunk_map(); cm != nullptr) {
+    // Under the placement mutex, so a concurrent chunk publish lands
+    // wholly before or after the drop and its state reset.
+    std::lock_guard lock(cm->placement_mutex());
+    if (cm->tier() >= 0) {
+      tier = &hierarchy_.Level(cm->tier());
+      for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+        const std::uint64_t stored = DropChunkLocked(f, *cm, c, *tier);
+        if (stored == 0) continue;
+        freed += stored;
+        ++chunks;
+      }
+    }
+    cm->MaybeResetTier();
+    dropped = chunks > 0;
+    reset();
+  } else {
+    const int level = f.level.load(std::memory_order_acquire);
+    if (level == pfs) {
+      // Nothing staged (stale snapshot); leave the file as we found it.
+      f.state.store(PlacementState::kPlaced, std::memory_order_release);
+      return false;
+    }
+    tier = &hierarchy_.Level(level);
+    // Readers stop routing to the tier, and the cluster directory stops
+    // advertising the copy, before its bytes go.
+    f.level.store(pfs, std::memory_order_release);
+    if (peer_view_ != nullptr) peer_view_->OnDropped(f.name);
+    dropped = tier->Delete(f.name).ok();
+    if (dropped) {
+      tier->Release(f.size);
+      freed = f.size;
+    }
+    reset();
   }
-  StorageDriver& tier = hierarchy_.Level(victim_level);
-  vf.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-  if (peer_view_ != nullptr) peer_view_->OnDropped(vf.name);
-  vf.AbortFetch(/*permanently=*/false);  // back to PFS-only
-  if (!tier.Delete(vf.name).ok()) return false;
-  tier.Release(vf.size);
-  const bool was_low_retention =
-      vf.low_retention.load(std::memory_order_acquire);
-  NoteCopyDropped(vf);
-  if (requester != nullptr && requester->low_retention &&
-      !was_low_retention) {
-    // Unreachable under the guard above; counted so a future regression
-    // shows up in `qos.cross_class_evictions` instead of hiding.
-    cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
-    cross_class_counter_->Increment();
-  }
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  evicted_bytes_.fetch_add(vf.size, std::memory_order_relaxed);
-  evictions_counter_->Increment();
-  evicted_bytes_counter_->Increment(vf.size);
+  if (tier == nullptr) return false;
+
   obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.evict", "placement",
-                         "\"file\":" + obs::JsonQuote(vf.name) +
-                             ",\"bytes\":" + std::to_string(vf.size) +
-                             ",\"tier\":" + obs::JsonQuote(tier.name()));
+  if (cause == DropCause::kQuarantine) {
+    quarantined_.fetch_add(1, std::memory_order_relaxed);
+    if (tracer.enabled()) {
+      tracer.RecordInstant("placement.quarantine", "resilience",
+                           "\"file\":" + obs::JsonQuote(f.name) +
+                               ",\"tier\":" + obs::JsonQuote(tier->name()) +
+                               ",\"phase\":\"read\"");
+    }
+    MLOG_WARN << "quarantined corrupt copy of '" << f.name << "' on tier '"
+              << tier->name() << "'; reads fall back to the PFS";
+  } else if (cause == DropCause::kEvict && dropped) {
+    if (scan_evictor && !victim_low_retention) {
+      // Unreachable under the guard above; counted so a future
+      // regression shows up in `qos.cross_class_evictions` instead of
+      // hiding.
+      cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
+      cross_class_counter_->Increment();
+    }
+    if (chunks > 0) {
+      chunks_evicted_.fetch_add(chunks, std::memory_order_relaxed);
+      chunk_evicted_counter_->Increment(chunks);
+    } else {
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      evictions_counter_->Increment();
+    }
+    evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
+    evicted_bytes_counter_->Increment(freed);
+    if (tracer.enabled()) {
+      tracer.RecordInstant(
+          "placement.evict", "placement",
+          "\"file\":" + obs::JsonQuote(f.name) +
+              ",\"bytes\":" + std::to_string(freed) +
+              (chunks > 0 ? ",\"chunks\":" + std::to_string(chunks) : "") +
+              ",\"tier\":" + obs::JsonQuote(tier->name()));
+    }
   }
-  return true;
+  return dropped;
 }
 
-std::optional<int> PlacementHandler::EvictAndReserve(const FileInfoPtr& file,
-                                                     StagingLane lane,
-                                                     std::uint64_t bytes) {
-  const bool may_evict =
-      lane == StagingLane::kDemand
-          ? options_.enable_eviction || policy_->EvictsUnderPressure()
-          : policy_->PrefetchMayEvict();
-  if (!may_evict) return std::nullopt;
+std::uint64_t PlacementHandler::DropAllCopies() {
+  // Quiesce staging first so no copy lands after its delete.
+  const bool was_stopped = stopped_.exchange(true);
+  Drain();
+  std::uint64_t dropped = 0;
+  for (const auto& entry : metadata_.Snapshot()) {
+    if (entry.state != PlacementState::kPlaced) continue;
+    FileInfoPtr info = metadata_.Lookup(entry.name);
+    if (info && DropCopy(info, DropCause::kCleanup)) ++dropped;
+  }
+  if (!was_stopped) stopped_.store(false);
+  return dropped;
+}
 
-  // The policy ranks; this loop claims and drops. Re-ask PickLevel after
-  // each successful eviction — freed space is first-come-first-served
-  // under concurrent workers, so the reservation is the only proof.
+std::uint64_t PlacementHandler::ReadvertiseCopies() {
+  if (peer_view_ == nullptr) return 0;
+  std::uint64_t readvertised = 0;
+  for (const auto& entry : metadata_.Snapshot()) {
+    if (entry.state != PlacementState::kPlaced) continue;
+    FileInfoPtr info = metadata_.Lookup(entry.name);
+    if (!info ||
+        info->state.load(std::memory_order_acquire) != PlacementState::kPlaced) {
+      continue;
+    }
+    // A chunked file is advertised only while its copy is complete.
+    if (const pack::ChunkMap* cm = info->chunk_map();
+        cm != nullptr && cm->ResidentCount() != cm->num_chunks()) {
+      continue;
+    }
+    peer_view_->OnStaged(entry.name,
+                         info->level.load(std::memory_order_acquire));
+    ++readvertised;
+  }
+  return readvertised;
+}
+
+bool PlacementHandler::MayEvict(StagingLane lane) const {
+  return lane == StagingLane::kDemand
+             ? options_.enable_eviction || policy_->EvictsUnderPressure()
+             : policy_->PrefetchMayEvict();
+}
+
+std::optional<int> PlacementHandler::ReserveSpace(const FileInfoPtr& file,
+                                                  StagingLane lane,
+                                                  std::uint64_t bytes,
+                                                  int level) {
+  const auto reserve = [&]() -> std::optional<int> {
+    if (level < 0) return policy_->PickLevel(hierarchy_, bytes);
+    if (hierarchy_.Level(level).Reserve(bytes)) return level;
+    return std::nullopt;
+  };
+  if (std::optional<int> reserved = reserve()) return reserved;
+  if (!MayEvict(lane)) return std::nullopt;
+
+  // The policy ranks; this loop claims and drops. Re-try the reservation
+  // after each drop — freed space is first-come-first-served under
+  // concurrent workers, so the reservation is the only proof.
   for (const FileInfoPtr& victim : RankVictims(file, lane)) {
     if (victim == file) continue;
-    if (!EvictOne(victim)) continue;
-    if (auto level = policy_->PickLevel(hierarchy_, bytes)) return level;
+    // A reservation pinned to `level` (the tier holding the incoming
+    // file's other chunks) is helped only by victims resident there.
+    if (level >= 0) {
+      const pack::ChunkMap* vcm = victim->chunk_map();
+      const int victim_level =
+          vcm != nullptr && vcm->ResidentCount() > 0
+              ? vcm->tier()
+              : victim->level.load(std::memory_order_acquire);
+      if (victim_level != level) continue;
+    }
+    if (!DropCopy(victim, DropCause::kEvict)) continue;
+    if (std::optional<int> reserved = reserve()) return reserved;
   }
-  NoteEvictionRefused(*file, bytes);
+  eviction_refused_.fetch_add(1, std::memory_order_relaxed);
+  eviction_refused_counter_->Increment();
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (tracer.enabled()) {
+    tracer.RecordInstant("placement.evict_refused", "placement",
+                         "\"file\":" + obs::JsonQuote(file->name) +
+                             ",\"bytes\":" + std::to_string(bytes));
+  }
   return std::nullopt;
 }
 
@@ -725,83 +925,6 @@ std::vector<FileInfoPtr> PlacementHandler::RankVictims(
   return ranked;
 }
 
-void PlacementHandler::NoteEvictionRefused(const FileInfo& file,
-                                           std::uint64_t bytes) {
-  eviction_refused_.fetch_add(1, std::memory_order_relaxed);
-  eviction_refused_counter_->Increment();
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.evict_refused", "placement",
-                         "\"file\":" + obs::JsonQuote(file.name) +
-                             ",\"bytes\":" + std::to_string(bytes));
-  }
-}
-
-void PlacementHandler::ReleaseChunkClaims(const StagingTask& task) {
-  pack::ChunkMap* cm = task.file->chunk_map();
-  if (cm == nullptr) return;
-  for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
-  std::lock_guard lock(cm->placement_mutex());
-  cm->MaybeResetTier();
-}
-
-std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
-                                            std::uint64_t needed_bytes) {
-  FileInfo& vf = *victim;
-  pack::ChunkMap* cm = vf.chunk_map();
-  if (cm == nullptr) return 0;
-  // Read pins protect chunked files exactly like whole-file copies: an
-  // active read keeps every resident chunk until it unpins.
-  if (vf.read_pins.load(std::memory_order_acquire) > 0) {
-    eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  const int level = cm->tier();
-  if (level < 0 || level == hierarchy_.pfs_level()) return 0;
-  StorageDriver& tier = hierarchy_.Level(level);
-  std::uint64_t freed = 0;
-  std::uint64_t dropped = 0;
-  {
-    std::lock_guard lock(cm->placement_mutex());
-    for (std::uint32_t c = 0;
-         c < cm->num_chunks() && freed < needed_bytes; ++c) {
-      const std::uint64_t stored = DropChunkLocked(vf, *cm, c, tier);
-      if (stored == 0) continue;
-      freed += stored;
-      ++dropped;
-    }
-    if (cm->ResidentCount() == 0) {
-      cm->MaybeResetTier();
-      NoteCopyDropped(vf);
-      // The file no longer serves anything from a tier; fold it back to
-      // PFS-resident through the same claim the whole-file evictor uses
-      // (readers mid-lookup fall back to the PFS on kNotFound).
-      PlacementState expected = PlacementState::kPlaced;
-      if (vf.state.compare_exchange_strong(expected,
-                                           PlacementState::kFetching,
-                                           std::memory_order_acq_rel)) {
-        vf.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-        vf.AbortFetch(/*permanently=*/false);
-      }
-    }
-  }
-  if (dropped > 0) {
-    chunks_evicted_.fetch_add(dropped, std::memory_order_relaxed);
-    evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
-    chunk_evicted_counter_->Increment(dropped);
-    evicted_bytes_counter_->Increment(freed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.evict", "placement",
-                           "\"file\":" + obs::JsonQuote(vf.name) +
-                               ",\"bytes\":" + std::to_string(freed) +
-                               ",\"chunks\":" + std::to_string(dropped) +
-                               ",\"tier\":" + obs::JsonQuote(tier.name()));
-    }
-  }
-  return freed;
-}
-
 std::uint64_t PlacementHandler::DropChunkLocked(const FileInfo& file,
                                                 pack::ChunkMap& cm,
                                                 std::uint32_t chunk,
@@ -818,33 +941,6 @@ std::uint64_t PlacementHandler::DropChunkLocked(const FileInfo& file,
   return stored;
 }
 
-bool PlacementHandler::EvictForChunkOn(int level, const FileInfoPtr& incoming,
-                                       std::uint64_t stored_bytes,
-                                       StagingLane lane) {
-  const bool may_evict =
-      lane == StagingLane::kDemand
-          ? options_.enable_eviction || policy_->EvictsUnderPressure()
-          : policy_->PrefetchMayEvict();
-  if (!may_evict) return false;
-  StorageDriver& tier = hierarchy_.Level(level);
-  for (const FileInfoPtr& victim : RankVictims(incoming, lane)) {
-    if (victim == incoming) continue;
-    // Only victims resident on this level can free room here: the
-    // incoming file's chunks are pinned to `level` by the tier
-    // assignment, so space anywhere else does not help.
-    const pack::ChunkMap* vcm = victim->chunk_map();
-    const int victim_level =
-        vcm != nullptr && vcm->ResidentCount() > 0
-            ? vcm->tier()
-            : victim->level.load(std::memory_order_acquire);
-    if (victim_level != level) continue;
-    if (!EvictOne(victim)) continue;
-    if (tier.Reserve(stored_bytes)) return true;
-  }
-  NoteEvictionRefused(*incoming, stored_bytes);
-  return false;
-}
-
 std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
                                                   pack::ChunkMap& cm,
                                                   std::uint64_t stored_bytes,
@@ -853,184 +949,18 @@ std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
   if (level < 0) {
     // No tier assigned yet: let the policy pick one (reserving the
     // bytes there), then race to install it as the file's tier.
-    std::optional<int> picked = policy_->PickLevel(hierarchy_, stored_bytes);
-    if (!picked.has_value()) picked = EvictAndReserve(file, lane, stored_bytes);
+    const std::optional<int> picked = ReserveSpace(file, lane, stored_bytes);
     if (!picked.has_value()) return std::nullopt;
     {
       std::lock_guard lock(cm.placement_mutex());
       level = cm.AssignTier(*picked);
     }
     if (level == *picked) return level;
-    // Lost the assignment race: hand the reservation back and fall
-    // through to reserve on the winner's tier instead.
+    // Lost the assignment race: hand the reservation back and reserve
+    // on the winner's tier instead.
     hierarchy_.Level(*picked).Release(stored_bytes);
   }
-  StorageDriver& tier = hierarchy_.Level(level);
-  if (tier.Reserve(stored_bytes)) return level;
-  if (EvictForChunkOn(level, file, stored_bytes, lane)) return level;
-  return std::nullopt;
-}
-
-void PlacementHandler::PlaceChunks(StagingTask task) {
-  const FileInfoPtr file = task.file;
-  pack::ChunkMap* cm = file->chunk_map();
-  if (cm == nullptr) return;  // claims imply a map; defensive only
-  obs::TraceSpan span("pack.stage", "placement");
-  if (span.active()) {
-    span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
-                       ",\"chunks\":" + std::to_string(task.chunks.size()) +
-                       ",\"lane\":\"" + LaneName(task.lane) + "\"");
-  }
-
-  // Scan resistance, chunk flavour: past the cap, refuse instead of
-  // staging (the claims go back so a later read can retry).
-  const bool low_retention = task.tenant.low_retention;
-  const std::uint64_t scan_cap = options_.qos.scan_stage_cap_bytes;
-  if (low_retention && scan_cap > 0 &&
-      low_retention_resident_bytes_.load(std::memory_order_relaxed) +
-              file->size >
-          scan_cap) {
-    scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
-    scan_refusal_counter_->Increment();
-    if (task.lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    file->stage_refused.store(true, std::memory_order_release);
-    ReleaseChunkClaims(task);
-    return;
-  }
-
-  // One pooled lease carries the logical bytes of every chunk in the
-  // task (pack.chunk_bytes is clamped to the pool's chunk size); the
-  // codec output and verification scratch are reused across chunks.
-  BufferPool::Lease lease = pool_.Acquire();
-  std::vector<std::byte> encoded;
-  std::vector<std::byte> readback;
-
-  std::size_t next = 0;
-  bool rejected = false;
-  Status failure = Status::Ok();
-  for (; next < task.chunks.size(); ++next) {
-    const std::uint32_t c = task.chunks[next];
-    const std::uint64_t offset = cm->ChunkOffset(c);
-    const std::uint32_t logical_n = cm->ChunkLogicalBytes(c);
-    const std::span<std::byte> logical(lease.bytes().data(), logical_n);
-    auto read = hierarchy_.Pfs().Read(file->name, offset, logical);
-    if (!read.ok()) {
-      failure = read.status();
-      break;
-    }
-    if (read.value() != logical_n) {
-      failure = InternalError("short PFS read of '" + file->name + "' at " +
-                              std::to_string(offset) + ": got " +
-                              std::to_string(read.value()) + " of " +
-                              std::to_string(logical_n) + " bytes");
-      break;
-    }
-    pack::ChunkMap::ChunkMeta meta;
-    meta.crc_logical = Crc32c(logical);
-    std::span<const std::byte> stored(logical);
-    if (codec_ != nullptr) {
-      const Status encoded_ok = codec_->Encode(logical, encoded);
-      if (!encoded_ok.ok()) {
-        failure = encoded_ok;
-        break;
-      }
-      stored = encoded;
-    }
-    meta.stored_bytes = static_cast<std::uint32_t>(stored.size());
-    meta.crc_stored = Crc32c(stored);
-
-    const std::optional<int> level =
-        ReserveChunk(file, *cm, stored.size(), task.lane);
-    if (!level.has_value()) {
-      rejected = true;
-      break;
-    }
-    StorageDriver& tier = hierarchy_.Level(*level);
-    const std::string object = pack::ChunkObjectName(file->name, c);
-    Status written = tier.Write(object, stored);
-    if (written.ok() && resilience_.verify_staged_writes) {
-      readback.resize(stored.size());
-      auto rb = tier.Read(object, 0, readback);
-      if (!rb.ok() || rb.value() != stored.size() ||
-          Crc32c(std::span<const std::byte>(readback)) != meta.crc_stored) {
-        quarantined_.fetch_add(1, std::memory_order_relaxed);
-        written =
-            DataLossError("staged chunk failed verification: " + object);
-      }
-    }
-    if (!written.ok()) {
-      (void)tier.Delete(object);
-      tier.Release(stored.size());
-      failure = written;
-      break;
-    }
-    {
-      std::lock_guard lock(cm->placement_mutex());
-      const std::uint32_t resident = cm->Publish(c, meta);
-      // Advertise the copy once it is complete — peers fetch chunked
-      // files whole. Under the placement mutex, so the ad can never be
-      // ordered after a concurrent eviction's retraction.
-      if (resident == cm->num_chunks() && peer_view_ != nullptr) {
-        peer_view_->OnStaged(file->name, *level);
-      }
-      if (resident == 1) {
-        // First resident chunk: the file now serves (partially) from a
-        // tier. Flip the whole-file state so the eviction policies see
-        // it as placed and readers route offset lookups via the map.
-        file->fetch_failures.store(0, std::memory_order_relaxed);
-        if (low_retention &&
-            !file->low_retention.exchange(true,
-                                          std::memory_order_acq_rel)) {
-          low_retention_resident_bytes_.fetch_add(
-              file->size, std::memory_order_relaxed);
-        }
-        file->FinishFetch(*level);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        if (task.lane == StagingLane::kPrefetch) {
-          prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    chunks_staged_.fetch_add(1, std::memory_order_relaxed);
-    chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
-    bytes_staged_.fetch_add(logical_n, std::memory_order_relaxed);
-    chunk_staged_counter_->Increment();
-    chunk_stored_bytes_counter_->Increment(stored.size());
-  }
-
-  if (next >= task.chunks.size()) return;  // every chunk published
-
-  // Back out the claims we will not stage.
-  StagingTask rest;
-  rest.file = file;
-  rest.chunks.assign(task.chunks.begin() +
-                         static_cast<std::ptrdiff_t>(next),
-                     task.chunks.end());
-  ReleaseChunkClaims(rest);
-  if (rejected) {
-    rejected_no_space_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.rejected_no_space", "placement",
-                           "\"file\":" + obs::JsonQuote(file->name));
-    }
-    if (task.lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    } else {
-      // Latch so chunked readers stop re-enqueueing doomed demand
-      // stagings chunk by chunk; the next offset-0 read re-arms it.
-      file->stage_refused.store(true, std::memory_order_release);
-    }
-    return;
-  }
-  chunk_failures_.fetch_add(1, std::memory_order_relaxed);
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  file->prefetched.store(false, std::memory_order_relaxed);
-  MLOG_WARN << "chunk staging of '" << file->name << "' failed: " << failure;
+  return ReserveSpace(file, lane, stored_bytes, level);
 }
 
 void PlacementHandler::InstallSchedule(

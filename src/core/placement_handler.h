@@ -1,20 +1,27 @@
 // PlacementHandler: MONARCH's background staging engine (§III-A/B),
-// rebuilt as a pipelined, two-lane copy service.
+// rebuilt as a pipelined, two-lane copy service. It alone decides what a
+// staged copy is — the whole file, or the fixed-size chunks of a file in
+// pack mode — and runs every copy through one lifecycle:
 //
-// When the read path sees a file that only exists on the PFS, it claims
-// the file (FileInfo CAS) and hands it to this module. Dedicated worker
-// threads — the paper configures 6 — then:
-//   1. ask the placement policy for a writable level with room
-//      (first-fit top-down in the paper's configuration),
-//   2. stream the file tier-to-tier in fixed-size chunks drawn from a
-//      bounded, reusable buffer pool (peak staging memory is
-//      `staging_buffer_bytes`, never a function of file sizes), reusing
-//      any leading bytes the triggering read already pulled instead of
-//      re-reading them from the PFS,
-//   3. publish the copy — recording its incrementally computed CRC32C
-//      and, when verify_staged_writes is on, reading it back chunk by
-//      chunk to prove the bytes landed intact — and flip the file's
-//      level so subsequent reads are served from it.
+//   claim    Stage() takes the FileInfo fetch flag (whole file) or the
+//            ChunkMap claim bits of a byte range (pack mode) and enqueues
+//            the task; a claim is held by exactly one staging task.
+//   place    dedicated worker threads — the paper configures 6 — ask the
+//            placement policy for a writable level with room (first-fit
+//            top-down in the paper's configuration), then copy: a whole
+//            file streams tier-to-tier in chunks drawn from a bounded,
+//            reusable buffer pool (peak staging memory is
+//            `staging_buffer_bytes`), reusing any leading bytes the
+//            triggering read already pulled; a chunk is read, encoded by
+//            the pack codec and CRC'd on both sides.
+//   publish  the copy's CRC is recorded (and, when verify_staged_writes
+//            is on, proven by a read-back), the file's level flips so
+//            reads are served from it, and a complete copy is advertised
+//            to the cluster directory.
+//   drop     DropCopy() claims a placed copy, honours read pins, retracts
+//            the advertisement, deletes the object(s), releases the quota
+//            and resets the file to PFS-resident — for eviction, read-time
+//            quarantine and cleanup alike.
 //
 // Two lanes: DEMAND tasks come from actual reads and always run first;
 // PREFETCH tasks come from look-ahead hints (Monarch::HintUpcoming) and
@@ -27,22 +34,21 @@
 // Failure handling (ISSUE 2): backend I/O is retried inside the storage
 // drivers; a staging attempt that still fails is re-tried on a later
 // access until the per-file cap (max_placement_attempts) marks the file
-// unplaceable. A staged copy whose checksum does not match is
-// QUARANTINED: deleted, its quota released, and the file reset to
-// PFS-resident — corruption degrades to vanilla-PFS performance, never
-// wrong bytes.
+// unplaceable — for a chunked file, no more of its chunks are claimed. A
+// copy whose checksum does not match is QUARANTINED: dropped, and the
+// file reset to PFS-resident — corruption degrades to vanilla-PFS
+// performance, never wrong bytes.
 //
 // Evictions (ISSUE 6): the paper's first-fit policy never evicts — with
 // random per-epoch access every file is equally likely, so replacement
 // would only add tier-to-tier traffic ("I/O trashing"). The eviction-
 // capable policies (lru, hotspot, clairvoyant; docs/PLACEMENT.md) make
-// the opposite bet for partial-fit datasets: when PickLevel finds no
-// room, the handler walks the policy's victim ranking and drops placed
-// copies — through the same claim/delete/OnDropped path as quarantine,
-// honouring read pins — until the incoming file fits. The demand lane
-// evicts whenever the policy allows it (or the enable_eviction ablation
-// forces it); the prefetch lane only under clairvoyant, whose
-// speculative copies are certain future reads.
+// the opposite bet for partial-fit datasets: when no tier has room, the
+// handler walks the policy's victim ranking and drops placed copies
+// until the incoming file (or chunk) fits. The demand lane evicts
+// whenever the policy allows it (or the enable_eviction ablation forces
+// it); the prefetch lane only under clairvoyant, whose speculative
+// copies are certain future reads.
 #pragma once
 
 #include <atomic>
@@ -53,6 +59,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,9 +131,8 @@ struct PlacementOptions {
 
   /// Small-file packing / chunk-granularity staging (ISSUE 9). When
   /// `pack.enabled`, dataset files are staged, evicted and served chunk
-  /// by chunk through `ScheduleChunkPlacement` instead of whole-file
-  /// `SchedulePlacement`; `pack.chunk_bytes` is clamped to the staging
-  /// chunk size so a logical chunk always fits one pooled buffer.
+  /// by chunk instead of whole; `pack.chunk_bytes` is clamped to the
+  /// staging chunk size so a logical chunk always fits one pooled buffer.
   pack::PackOptions pack;
 };
 
@@ -183,6 +190,30 @@ struct PlacementStats {
   std::uint64_t low_retention_resident_bytes = 0;
 };
 
+/// What to claim and stage (PlacementHandler::Stage).
+struct StageRequest {
+  StagingLane lane = StagingLane::kDemand;
+  /// The bytes a read touched. Whole-file mode stages the whole file
+  /// (a partial range only when fetch_full_file_on_partial_read); pack
+  /// mode the chunks that overlap the range. Default: the whole file.
+  std::uint64_t offset = 0;
+  std::uint64_t length = std::numeric_limits<std::uint64_t>::max();
+  /// Bytes the triggering read already pulled at `offset`. An offset-0
+  /// read donates them to the whole-file copy, which never re-reads them
+  /// from the PFS; they are copied only when the claim succeeds.
+  std::span<const std::byte> served{};
+  /// A look-ahead hint asked: mark the file `prefetched` (prefetch-hit
+  /// accounting).
+  bool hint = false;
+};
+
+/// Why a placed copy is dropped (PlacementHandler::DropCopy).
+enum class DropCause {
+  kEvict,       ///< make room; read pins and scan resistance honoured
+  kQuarantine,  ///< failed read-time verification; counts as a failure
+  kCleanup,     ///< ephemeral teardown; read pins honoured
+};
+
 class PlacementHandler {
  public:
   /// `peer_view`, when set, is notified of every publish/drop of a
@@ -197,22 +228,15 @@ class PlacementHandler {
   PlacementHandler(const PlacementHandler&) = delete;
   PlacementHandler& operator=(const PlacementHandler&) = delete;
 
-  /// Called after `file` was claimed (TryBeginFetch). `content`: bytes
-  /// the triggering read already pulled — the full file, or a leading
-  /// prefix that the chunk pipeline extends with PFS reads (donated
-  /// bytes are never re-read). Never blocks the caller.
-  void SchedulePlacement(FileInfoPtr file,
-                         std::optional<std::vector<std::byte>> content,
-                         StagingLane lane = StagingLane::kDemand);
-
-  /// Chunk-granularity staging (pack mode). `chunks` are chunk indexes
-  /// the caller already claimed via ChunkMap::TryClaim; the handler
-  /// stages each one — PFS read at the chunk's offset, optional codec
-  /// encode, CRC on both sides — through the same two-lane pipeline and
-  /// releases every claim (publish or back-out). Never blocks.
-  void ScheduleChunkPlacement(FileInfoPtr file,
-                              std::vector<std::uint32_t> chunks,
-                              StagingLane lane = StagingLane::kDemand);
+  /// Claim `file`'s staging unit for `request` — the file-level fetch
+  /// flag, or every unclaimed non-resident chunk of the range in pack
+  /// mode — and enqueue it. Returns false when nothing was claimed
+  /// (resident, held by another stager, past max_placement_attempts, or
+  /// a partial read with fetch_full_file_on_partial_read off); a demand
+  /// request that loses the whole-file claim to a queued prefetch
+  /// promotes it. A stopped handler hands a claim straight back. Never
+  /// blocks.
+  bool Stage(const FileInfoPtr& file, const StageRequest& request);
 
   /// A demand read overtook a queued (or parked) prefetch of `file`:
   /// move the task to the demand lane so it stops waiting behind other
@@ -225,20 +249,23 @@ class PlacementHandler {
   /// the number of cancelled hints.
   std::size_t CancelPrefetches();
 
-  /// Remove `file`'s tier copy because its bytes failed verification:
-  /// claim it (kPlaced -> kFetching), delete the copy, release the
-  /// quota, and reset the file to PFS-resident (or unplaceable once past
-  /// the failure cap). Returns false when another thread already holds
-  /// the file in a non-kPlaced state. Thread-safe.
-  bool QuarantineCopy(const FileInfoPtr& file);
+  /// The one drop routine: claim `file`'s placed copy (kPlaced ->
+  /// kFetching), honour read pins (not for a quarantine: the reader that
+  /// found the corruption holds one), retract the directory ad, delete
+  /// the whole-file object or every resident chunk, release the quota,
+  /// return the low-retention share and reset the file to PFS-resident.
+  /// Returns false when nothing was dropped. Thread-safe.
+  bool DropCopy(const FileInfoPtr& file, DropCause cause);
 
-  /// Drop every resident chunk copy of `file` (pack mode): delete the
-  /// chunk objects, release their quota, and reset the file to
-  /// PFS-resident once nothing remains. Honours read pins. Returns the
-  /// stored bytes freed (Monarch::CleanupStagedCopies, tests).
-  std::uint64_t EvictChunkCopies(const FileInfoPtr& file) {
-    return EvictChunks(file, std::numeric_limits<std::uint64_t>::max());
-  }
+  /// Ephemeral teardown (Monarch::CleanupStagedCopies): pause staging,
+  /// drain it, DropCopy every placed file, then resume staging unless it
+  /// was already stopped. Returns the number of copies dropped.
+  std::uint64_t DropAllCopies();
+
+  /// Re-publish every complete placed copy to the peer view (a revived
+  /// node re-enters the cluster directory). Returns the copies
+  /// advertised; 0 without a peer view.
+  std::uint64_t ReadvertiseCopies();
 
   /// Drop resident chunk `chunk` of `file` from `tier`: clear its
   /// residency bit, retract the cluster-directory advertisement when the
@@ -298,6 +325,15 @@ class PlacementHandler {
     qos::TenantContext tenant;
   };
 
+  /// How a copy loop ended. `next` is the first claimed chunk it did not
+  /// publish; `tier` names the destination of a corrupt copy.
+  struct CopyResult {
+    enum Kind { kPublished, kParked, kNoSpace, kFailed, kCorrupt } kind;
+    Status error = Status::Ok();
+    std::string tier{};
+    std::size_t next = 0;
+  };
+
   /// Fair-queue class the task is served on: the prefetch lane always
   /// rides the prefetch class; demand tasks use their tenant's I/O
   /// class (interactive/training in band 0, scan in band 1).
@@ -306,15 +342,25 @@ class PlacementHandler {
   [[nodiscard]] double TaskCost(const StagingTask& task) const noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
-  /// Low-retention bookkeeping when a staged copy disappears (eviction,
-  /// quarantine): clears the file's marking and returns the resident
-  /// gauge's share.
+  /// Hand back a task's claims: the file-level fetch flag (marked
+  /// unplaceable when `permanently`), or every chunk claim.
+  void ReleaseClaims(const StagingTask& task, bool permanently = false);
+  /// Low-retention bookkeeping when a staged copy disappears (any drop)
+  /// or a demand tenant re-stages it: clears the file's marking and
+  /// returns the resident gauge's share.
   void NoteCopyDropped(FileInfo& file) noexcept;
 
   void WorkerLoop();
-  /// Stage one file. Returns normally whether the copy succeeded,
-  /// failed, or was parked on the in-flight cap.
-  void PlaceFile(StagingTask task);
+  /// Stage one task: the shared prologue (trace span, scan-cap refusal),
+  /// the unit's copy loop, and the shared epilogue (no-space rejection,
+  /// failure accounting). Returns normally whatever the outcome.
+  void Place(StagingTask task);
+  /// Whole-file copy loop: reserve a level, admit the in-flight bytes,
+  /// copy (donated prefix first), verify and publish.
+  CopyResult CopyFile(StagingTask& task);
+  /// Chunk copy loop: read, encode and CRC each claimed chunk, reserve
+  /// on the file's tier, write, verify and publish.
+  CopyResult CopyChunks(const StagingTask& task);
   /// Chunk loop: write the donated `prefix` (if any), then stream the
   /// rest of the file from the PFS through one pooled buffer.
   /// `crc` accumulates over every byte in file order.
@@ -324,50 +370,35 @@ class PlacementHandler {
   /// Chunked read-back verification against `crc` (bounded memory).
   bool VerifyStagedCopy(const FileInfoPtr& file, StorageDriver& destination,
                         std::uint32_t crc);
-  /// Count one failed staging attempt and either leave the file
-  /// retryable (a later access re-claims it) or mark it unplaceable once
-  /// the per-file cap is hit.
-  void RecordStagingFailure(const FileInfoPtr& file);
-  /// Policy-driven eviction: walk the policy's victim ranking, dropping
-  /// placed copies until PickLevel succeeds for `bytes` (the whole file,
-  /// or one stored chunk in pack mode). Returns the reserved level, or
-  /// nullopt when the lane may not evict, the policy offered no victims,
-  /// or the freed space still was not enough.
-  std::optional<int> EvictAndReserve(const FileInfoPtr& file,
-                                     StagingLane lane, std::uint64_t bytes);
+  /// Publish bookkeeping once `file` first serves from `level`: reset
+  /// the failure count, mark (or clear) the low-retention share, flip
+  /// the level and count the completion.
+  void PublishFile(FileInfo& file, int level, const StagingTask& task);
+  /// Count one failed staging attempt and release the task's claims:
+  /// the file stays retryable (a later access re-claims it) until the
+  /// per-file cap marks it unplaceable.
+  void RecordStagingFailure(const StagingTask& task);
+  /// Whether `lane` may evict under the policy and options.
+  [[nodiscard]] bool MayEvict(StagingLane lane) const;
+  /// The one victim walk: reserve `bytes` on `level` (any level the
+  /// policy picks when negative), dropping the policy's ranked victims
+  /// — only those resident on `level` when one is given — until the
+  /// reservation succeeds. Returns the reserved level, or nullopt when
+  /// the lane may not evict, the policy offered no victims, or the
+  /// freed space still was not enough.
+  std::optional<int> ReserveSpace(const FileInfoPtr& file, StagingLane lane,
+                                  std::uint64_t bytes, int level = -1);
   /// The policy's victim ranking for `incoming`, with low-retention
   /// (scan) copies moved first when QoS is on.
   std::vector<FileInfoPtr> RankVictims(const FileInfoPtr& incoming,
                                        StagingLane lane);
-  /// Count (and trace) an eviction walk that could not make room.
-  void NoteEvictionRefused(const FileInfo& file, std::uint64_t bytes);
-  /// Drop one placed copy: claim it (kPlaced -> kFetching), honour read
-  /// pins, delete the bytes, release the quota, notify the peer view.
-  /// Returns false when the claim failed or the file was pinned. A
-  /// chunk-resident victim drops all of its chunks via EvictChunks.
-  bool EvictOne(const FileInfoPtr& victim);
-
-  /// Stage the claimed chunks of one task (pack mode).
-  void PlaceChunks(StagingTask task);
-  /// Ensure `file`'s chunk map has a tier and that tier has room for
-  /// `stored_bytes` (reserving them). Evicts per the lane's rules when
-  /// the assigned tier is full. Returns the level, or nullopt when no
-  /// space could be made.
+  /// Reserve `stored_bytes` for one chunk of `file`: on the file's tier
+  /// once one is assigned, else on the level the policy picks (which
+  /// then becomes the file's tier).
   std::optional<int> ReserveChunk(const FileInfoPtr& file,
                                   pack::ChunkMap& cm,
                                   std::uint64_t stored_bytes,
                                   StagingLane lane);
-  /// Drop resident chunks of `victim` until at least `needed_bytes` of
-  /// stored bytes were freed (or the file ran dry). Returns bytes freed.
-  std::uint64_t EvictChunks(const FileInfoPtr& victim,
-                            std::uint64_t needed_bytes);
-  /// Policy-ranked eviction restricted to victims resident on `level`
-  /// until Reserve(stored_bytes) succeeds there. Returns success.
-  bool EvictForChunkOn(int level, const FileInfoPtr& incoming,
-                       std::uint64_t stored_bytes, StagingLane lane);
-  /// Back out of a chunk task without staging: release every claim and,
-  /// if the file ended up with no resident chunks, reset its state.
-  void ReleaseChunkClaims(const StagingTask& task);
 
   /// Take the in-flight accounting for `task`'s copy to `level`. For the
   /// prefetch lane, parks the task (moving from it) and returns false

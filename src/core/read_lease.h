@@ -3,7 +3,7 @@
 // A lease couples a storage-layer ReadView (the lent/copied page span)
 // with the namespace-level read pin of the file it was cut from: while
 // the lease is alive, FileInfo::read_pins stays elevated, so eviction's
-// read-pin machinery (PlacementHandler::EvictOne) can never reclaim the
+// read-pin machinery (PlacementHandler::DropCopy) can never reclaim the
 // staged copy out from under the reader, and the ReadView's keepalive
 // guarantees the bytes themselves survive even engine teardown or an
 // overwrite that lands anyway. Releasing (or destroying) the lease drops

@@ -608,15 +608,15 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     JobResult job_result;
     job_result.job_index = static_cast<int>(j);
     job_result.training = std::move(outcomes[j]).value();
+    // Staging still in flight reads the PFS: drain it before the PFS
+    // snapshot, so the snapshot and monarch_stats count the same reads.
+    if (jobs[j].monarch) jobs[j].monarch->DrainPlacements();
     job_result.pfs_stats = jobs[j].pfs_engine->Stats().Snapshot();
     job_result.io_class = jobs[j].tenant.io_class;
     job_result.admitted = jobs[j].admitted;
     job_result.read_p99_us = jobs[j].read_p99_us;
     if (jobs[j].ckpt) jobs[j].ckpt->Shutdown();
-    if (jobs[j].monarch) {
-      jobs[j].monarch->DrainPlacements();
-      job_result.monarch_stats = jobs[j].monarch->Stats();
-    }
+    if (jobs[j].monarch) job_result.monarch_stats = jobs[j].monarch->Stats();
     if (peer_group) {
       job_result.peer_stats =
           peer_group->directory().StatsFor(static_cast<int>(j));

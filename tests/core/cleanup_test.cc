@@ -4,6 +4,7 @@
 
 #include "../test_support.h"
 #include "core/monarch.h"
+#include "qos/tenant.h"
 #include "storage/memory_engine.h"
 
 namespace monarch::core {
@@ -14,7 +15,8 @@ using monarch::testing::Bytes;
 class CleanupTest : public ::testing::Test {
  protected:
   Result<std::unique_ptr<Monarch>> Build(bool cleanup_on_shutdown,
-                                         int files = 4) {
+                                         int files = 4,
+                                         qos::QosOptions qos = {}) {
     pfs_ = std::make_shared<storage::MemoryEngine>("pfs");
     local_ = std::make_shared<storage::MemoryEngine>("local");
     for (int i = 0; i < files; ++i) {
@@ -28,6 +30,7 @@ class CleanupTest : public ::testing::Test {
     config.dataset_dir = "data";
     config.placement.num_threads = 2;
     config.cleanup_staged_on_shutdown = cleanup_on_shutdown;
+    config.placement.qos = qos;
     return Monarch::Create(std::move(config));
   }
 
@@ -104,6 +107,37 @@ TEST_F(CleanupTest, CleanupSkipsUnplacedFiles) {
   ASSERT_OK(monarch.value()->Read("data/f1", 0, buf));
   monarch.value()->DrainPlacements();
   EXPECT_EQ(2u, monarch.value()->CleanupStagedCopies());
+}
+
+TEST_F(CleanupTest, CleanupReleasesLowRetentionShare) {
+  // Scan copies fill the low-retention cap exactly. Cleanup must hand
+  // their share back, or every later scan staging is refused although
+  // nothing is resident.
+  qos::QosOptions qos;
+  qos.enabled = true;
+  qos.scan_stage_cap_bytes = 40;
+  auto monarch = Build(false, 4, qos);
+  ASSERT_OK(monarch);
+  qos::TenantContext scanner;
+  scanner.io_class = qos::IoClass::kScan;
+  scanner.low_retention = true;
+  const qos::ScopedTenant scope(scanner);
+  StageAll(**monarch);
+  ASSERT_EQ(40u,
+            monarch.value()->Stats().placement.low_retention_resident_bytes);
+
+  EXPECT_EQ(4u, monarch.value()->CleanupStagedCopies());
+  EXPECT_EQ(0u,
+            monarch.value()->Stats().placement.low_retention_resident_bytes);
+
+  // A scan re-read under the cap stages again.
+  std::vector<std::byte> buf(10);
+  ASSERT_OK(monarch.value()->Read("data/f0", 0, buf));
+  monarch.value()->DrainPlacements();
+  const auto stats = monarch.value()->Stats();
+  EXPECT_EQ(0u, stats.placement.scan_stage_refusals);
+  EXPECT_EQ(5u, stats.placement.completed);
+  EXPECT_EQ(10u, stats.placement.low_retention_resident_bytes);
 }
 
 }  // namespace

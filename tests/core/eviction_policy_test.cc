@@ -260,8 +260,7 @@ class EvictionHandlerTest : public ::testing::Test {
 
   /// Claim + demand-stage + drain.
   void Stage(const FileInfoPtr& file) {
-    ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, std::nullopt);
+    ASSERT_TRUE(handler_->Stage(file, {}));
     handler_->Drain();
   }
 

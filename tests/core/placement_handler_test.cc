@@ -54,8 +54,7 @@ class PlacementHandlerTest : public ::testing::Test {
 TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
   Build({100});
   auto file = AddPfsFile("f", "0123456789");
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(file, {}));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
@@ -79,8 +78,8 @@ TEST_F(PlacementHandlerTest, UsesProvidedContentWithoutPfsRead) {
   auto file = AddPfsFile("f", "abcdefgh");
   const auto before = pfs_engine_->Stats().Snapshot();
 
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, Bytes("abcdefgh"));
+  const auto content = Bytes("abcdefgh");
+  ASSERT_TRUE(handler_->Stage(file, {.served = content}));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
@@ -92,8 +91,7 @@ TEST_F(PlacementHandlerTest, UsesProvidedContentWithoutPfsRead) {
 TEST_F(PlacementHandlerTest, NoSpaceMarksUnplaceable) {
   Build({5});
   auto file = AddPfsFile("f", "too-big-for-tier");
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(file, {}));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
@@ -106,11 +104,9 @@ TEST_F(PlacementHandlerTest, SpillsToSecondTierWhenFirstFull) {
   Build({12, 100});
   auto f1 = AddPfsFile("f1", "0123456789");  // 10 bytes -> tier0
   auto f2 = AddPfsFile("f2", "0123456789");  // tier0 full -> tier1
-  ASSERT_TRUE(f1->TryBeginFetch());
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f1, {}));
   handler_->Drain();
-  handler_->SchedulePlacement(f2, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f2, {}));
   handler_->Drain();
 
   EXPECT_EQ(0, f1->level.load());
@@ -128,8 +124,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   // (core/resilience.h) and staging succeeds on the spot; to make the
   // placement itself fail the fault has to outlast the attempt budget.
   faulty->FailNextReads(100);
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(file, {}));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load())
@@ -141,8 +136,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
 
   // A later attempt succeeds once the fault clears.
   faulty->FailNextReads(0);
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(file, {}));
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
 }
@@ -151,8 +145,7 @@ TEST_F(PlacementHandlerTest, StopSchedulingAbortsNewPlacements) {
   Build({100});
   auto file = AddPfsFile("f", "abc");
   handler_->StopScheduling();
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(file, {}));
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load());
   EXPECT_EQ(0u, handler_->Stats().scheduled);
@@ -164,8 +157,7 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
   for (int i = 0; i < 50; ++i) {
     auto file =
         AddPfsFile("f" + std::to_string(i), std::string(100, 'a' + i % 26));
-    ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, std::nullopt);
+    ASSERT_TRUE(handler_->Stage(file, {}));
     files.push_back(std::move(file));
   }
   handler_->Drain();
@@ -179,14 +171,12 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
 TEST_F(PlacementHandlerTest, EvictionDisabledByDefault) {
   Build({15});
   auto f1 = AddPfsFile("f1", "0123456789");
-  ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f1, {}));
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f2, {}));
   handler_->Drain();
 
   // The paper's no-eviction policy: f1 stays, f2 is unplaceable.
@@ -202,15 +192,13 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
 
   auto f1 = AddPfsFile("f1", "0123456789");
   f1->last_access.store(1);
-  ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f1, {}));
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   f2->last_access.store(2);
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, std::nullopt);
+  ASSERT_TRUE(handler_->Stage(f2, {}));
   handler_->Drain();
 
   // f1 (older access) was evicted to admit f2.

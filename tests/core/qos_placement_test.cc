@@ -64,9 +64,8 @@ class QosPlacementTest : public ::testing::Test {
   /// Schedule a demand placement with `tenant` installed as the ambient
   /// submitter (the pipeline snapshots it into the task) and drain.
   void StageAs(const qos::TenantContext& tenant, const FileInfoPtr& file) {
-    ASSERT_TRUE(file->TryBeginFetch());
     qos::ScopedTenant scope(tenant);
-    handler_->SchedulePlacement(file, std::nullopt);
+    ASSERT_TRUE(handler_->Stage(file, {}));
     handler_->Drain();
   }
 

@@ -262,6 +262,31 @@ TEST(ResilienceTest, PlacementRetryCapMarksFileUnplaceable) {
   EXPECT_EQ(GoldenPayload(0), std::vector<std::byte>(buf.begin(), buf.end()));
 }
 
+TEST(ResilienceTest, ConcurrentChunkFailuresAbandonTheFileOnce) {
+  // Four one-chunk reads claim four chunk tasks of one file before any
+  // of them fails; every failure counts, but only the one that reaches
+  // the cap abandons the file.
+  FaultyEngine::FaultSpec local_spec;
+  local_spec.write_failure_rate = 1.0;
+  ResilienceOptions resilience;
+  resilience.max_placement_attempts = 2;
+  pack::PackOptions pack;
+  pack.enabled = true;
+  pack.chunk_bytes = 1024;
+  auto world = BuildWorld(1, local_spec, {}, resilience, pack);
+  ASSERT_TRUE(world.monarch != nullptr);
+
+  std::vector<std::byte> buf(1024);
+  for (std::uint64_t offset = 0; offset < kFileBytes; offset += 1024) {
+    ASSERT_OK(world.monarch->Read(world.names[0], offset, buf));
+  }
+  world.monarch->DrainPlacements();
+  const auto stats = world.monarch->Stats();
+  EXPECT_GE(stats.placement.failed, 2u);
+  EXPECT_EQ(1u, stats.placement.retries);
+  EXPECT_EQ(1u, stats.placement.abandoned);
+}
+
 // ---------------------------------------------------------------------
 // The acceptance scenario: multi-epoch training with probabilistic
 // faults on both tiers completes with zero app-visible errors,
@@ -387,12 +412,13 @@ struct LadderCase {
 class ReadLadderTest : public ::testing::TestWithParam<LadderCase> {
  protected:
   FaultyWorld Build(int num_files, ResilienceOptions resilience = {},
-                    const std::string& codec = "none") {
+                    const std::string& codec = "none",
+                    FaultyEngine::FaultSpec local_spec = {}) {
     pack::PackOptions pack;
     pack.enabled = GetParam().pack;
     pack.chunk_bytes = 1024;
     pack.codec = codec;
-    return BuildWorld(num_files, {}, {}, resilience, std::move(pack));
+    return BuildWorld(num_files, local_spec, {}, resilience, std::move(pack));
   }
 
   /// Read `name` whole through the lane under test (a lease lane loops:
@@ -539,6 +565,36 @@ TEST_P(ReadLadderTest, OpenCircuitSkipsTierAndRecovers) {
   stats = world.monarch->Stats();
   EXPECT_EQ(CircuitState::kClosed, stats.levels[0].circuit_state);
   EXPECT_GT(stats.levels[0].reads, local_reads);
+}
+
+// ResilienceTest.PlacementRetryCapMarksFileUnplaceable through the lane
+// under test, in both staging units: each pass reads the file head, so
+// pack mode claims chunks and must honour the same cap.
+TEST_P(ReadLadderTest, PlacementRetryCapMarksFileUnplaceable) {
+  FaultyEngine::FaultSpec local_spec;
+  local_spec.write_failure_rate = 1.0;  // staging can never succeed
+  ResilienceOptions resilience;
+  resilience.max_placement_attempts = 2;
+  auto world = Build(1, resilience, "none", local_spec);
+  ASSERT_TRUE(world.monarch != nullptr);
+
+  for (int i = 0; i < 4; ++i) {
+    if (GetParam().zero_copy) {
+      ASSERT_OK(world.monarch->ReadZeroCopy(world.names[0], 0));
+    } else {
+      std::vector<std::byte> buf(kFileBytes);
+      ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
+    }
+    world.monarch->DrainPlacements();
+  }
+  const auto stats = world.monarch->Stats();
+  EXPECT_EQ(2u, stats.placement.failed);
+  EXPECT_EQ(1u, stats.placement.retries);    // attempt 1 stayed retryable
+  EXPECT_EQ(1u, stats.placement.abandoned);  // attempt 2 hit the cap
+  // The cap stops further scheduling: reads keep succeeding from the PFS
+  // and the staging pool is left alone.
+  EXPECT_EQ(2u, stats.placement.scheduled);
+  EXPECT_EQ(GoldenPayload(0), ReadWhole(*world.monarch, world.names[0]));
 }
 
 INSTANTIATE_TEST_SUITE_P(

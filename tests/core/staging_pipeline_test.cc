@@ -203,8 +203,11 @@ class StagingPipelineTest : public ::testing::Test {
   void Stage(const FileInfoPtr& file,
              std::optional<std::vector<std::byte>> content,
              StagingLane lane = StagingLane::kDemand) {
-    ASSERT_TRUE(file->TryBeginFetch()) << file->name;
-    handler_->SchedulePlacement(file, std::move(content), lane);
+    ASSERT_TRUE(handler_->Stage(
+        file, {.lane = lane,
+               .served = content ? std::span<const std::byte>(*content)
+                                 : std::span<const std::byte>()}))
+        << file->name;
   }
 
   storage::StorageEnginePtr pfs_engine_;
