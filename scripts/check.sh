@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
+# Release repeat leg, the first slice of a load leg: these suites run
+# their single-threaded timing tests on the manual clock, so they must
+# hold under a saturated machine.
+ctest --test-dir build -j$((4*$(nproc))) --repeat until-fail:20 \
+    -R '^(TierHealthTest|RateLimiterTest|FaultyEngineTest|ClockTest)\.'
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -513,7 +513,7 @@ void CheckpointManager::DrainLoop() {
         ++stats_.drain_retries;
       }
       drain_retries_->Increment();
-      std::this_thread::sleep_for(backoff);
+      ProcessClock().SleepFor(backoff);
       backoff = std::min(backoff * 2, kMaxDrainBackoff);
       {
         std::lock_guard<std::mutex> lock(mu_);

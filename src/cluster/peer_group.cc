@@ -1,7 +1,6 @@
 #include "cluster/peer_group.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,12 +15,6 @@
 namespace monarch::cluster {
 
 namespace {
-
-std::int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Resolves a peer read to a live holder's registered local engine.
 /// Excludes the asking node (its own copies are served locally by its
@@ -202,7 +195,7 @@ bool PeerGroup::Quarantined(int node) const {
   const std::int64_t until =
       holder_state_[static_cast<std::size_t>(node)]->quarantined_until_ns.load(
           std::memory_order_relaxed);
-  return until != 0 && SteadyNowNs() < until;
+  return NowNs() < until;  // 0 = healthy: NowNs() is never 0
 }
 
 void PeerGroup::OnTransferStart(int node) {
@@ -223,7 +216,7 @@ void PeerGroup::OnTransferDone(int node, bool ok) {
       state.fail_streak.fetch_add(1, std::memory_order_relaxed) + 1;
   if (streak >= std::max(1, options_.quarantine_failures)) {
     state.quarantined_until_ns.store(
-        SteadyNowNs() + options_.quarantine_cooldown.count(),
+        NowNs() + options_.quarantine_cooldown.count(),
         std::memory_order_relaxed);
     state.fail_streak.store(0, std::memory_order_relaxed);
     obs::EventTracer& tracer = obs::EventTracer::Global();

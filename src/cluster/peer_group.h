@@ -129,7 +129,7 @@ class PeerGroup {
   struct HolderState {
     std::atomic<int> inflight{0};
     std::atomic<int> fail_streak{0};
-    /// steady_clock::now().time_since_epoch() deadline; 0 = healthy.
+    /// NowNs() deadline; 0 = healthy.
     std::atomic<std::int64_t> quarantined_until_ns{0};
   };
 

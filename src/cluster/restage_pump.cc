@@ -40,15 +40,13 @@ void RestagePump::Run() {
   RateLimiter bucket(options_.bandwidth_bps > 0 ? options_.bandwidth_bps
                                                 : 1.0);
   while (!stop_.load(std::memory_order_acquire)) {
-    if (!directory_.IsLive(node_)) {
-      PreciseSleep(options_.poll);
-      continue;
-    }
     const std::vector<std::string> batch =
-        directory_.TakeRestage(node_, std::max<std::size_t>(
-                                          options_.batch_files, 1));
+        directory_.IsLive(node_)
+            ? directory_.TakeRestage(
+                  node_, std::max<std::size_t>(options_.batch_files, 1))
+            : std::vector<std::string>{};
     if (batch.empty()) {
-      PreciseSleep(options_.poll);
+      ProcessClock().SleepFor(options_.poll);
       continue;
     }
     for (const std::string& name : batch) {
@@ -65,7 +63,7 @@ void RestagePump::Run() {
       if (options_.bandwidth_bps > 0) {
         // Meter the repair pull: sleep this copy's bandwidth share
         // before scheduling the next one.
-        PreciseSleep(bucket.Reserve(static_cast<double>(bytes)));
+        bucket.Acquire(static_cast<double>(bytes));
       }
     }
   }

@@ -236,22 +236,20 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   // and build the virtual namespace (§III-B startup flow). Retried on
   // transient failures — the walk is idempotent (Register dedups), so a
   // flaky PFS listing must not kill the job before it starts.
-  Backoff backoff(monarch->config_.resilience.retry,
-                  std::hash<std::string>{}(monarch->config_.dataset_dir));
-  Result<std::uint64_t> populated = monarch->metadata_.Populate(
-      monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir,
-      monarch->hierarchy_->pfs_level());
-  while (!populated.ok() && IsRetryableError(populated.status())) {
-    const auto delay = backoff.NextDelay();
-    if (!delay.has_value()) break;
-    MLOG_WARN << "monarch: metadata walk of '" << monarch->config_.dataset_dir
-              << "' failed transiently (" << populated.status()
-              << "); retrying";
-    PreciseSleep(*delay);
-    populated = monarch->metadata_.Populate(
-        monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir,
-        monarch->hierarchy_->pfs_level());
-  }
+  const std::string& dataset_dir = monarch->config_.dataset_dir;
+  Result<std::uint64_t> populated = RetryWithBackoff(
+      monarch->config_.resilience.retry,
+      std::hash<std::string>{}(dataset_dir),
+      [&] {
+        return monarch->metadata_.Populate(monarch->hierarchy_->Pfs().engine(),
+                                           dataset_dir,
+                                           monarch->hierarchy_->pfs_level());
+      },
+      [&](const Result<std::uint64_t>& failed) {
+        MLOG_WARN << "monarch: metadata walk of '" << dataset_dir
+                  << "' failed transiently (" << failed.status()
+                  << "); retrying";
+      });
   MONARCH_ASSIGN_OR_RETURN(const std::uint64_t indexed, std::move(populated));
   MLOG_INFO << "monarch: indexed " << indexed << " files from '"
             << monarch->config_.dataset_dir << "' in "

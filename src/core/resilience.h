@@ -71,9 +71,6 @@ class Backoff {
     return delay;
   }
 
-  /// Failed attempts seen so far (== NextDelay() calls).
-  [[nodiscard]] int attempts() const noexcept { return attempt_; }
-
  private:
   const RetryPolicy& policy_;
   Xoshiro256 rng_;
@@ -81,6 +78,29 @@ class Backoff {
   Duration next_{policy_.initial_backoff};
   Duration spent_{0};
 };
+
+template <typename T>
+[[nodiscard]] bool IsRetryableError(const Result<T>& result) {
+  return !result.ok() && IsRetryableError(result.status());
+}
+
+/// Runs `op` (returning Status or Result<T>) until it does not fail
+/// retryably or the Backoff schedule runs out, sleeping each delay on the
+/// process clock after `on_retry(outcome)`. A template: the read path
+/// pays no std::function and no allocation.
+template <typename Op, typename OnRetry>
+auto RetryWithBackoff(const RetryPolicy& policy, std::uint64_t salt, Op&& op,
+                      OnRetry&& on_retry) {
+  Backoff backoff(policy, salt);
+  for (;;) {
+    auto outcome = op();
+    if (!IsRetryableError(outcome)) return outcome;
+    const std::optional<Duration> delay = backoff.NextDelay();
+    if (!delay.has_value()) return outcome;
+    on_retry(outcome);
+    ProcessClock().SleepFor(*delay);
+  }
+}
 
 /// Everything the fault-tolerance layer can be tuned with; carried by
 /// MonarchConfig and parsed from the `[resilience]` INI section

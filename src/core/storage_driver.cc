@@ -45,9 +45,25 @@ std::uint64_t StorageDriver::free_bytes() const noexcept {
   return used >= quota_ ? 0 : quota_ - used;
 }
 
-void StorageDriver::CountRetry() noexcept {
-  retries_local_.fetch_add(1, std::memory_order_relaxed);
-  if (retries_ != nullptr) retries_->Increment();
+template <typename Op>
+auto StorageDriver::Retried(std::string_view path, Op op) {
+  // Salt the jitter stream per (tier, file) so concurrent retries across
+  // files don't sleep in lockstep, while staying deterministic per run.
+  // Hashes are combined instead of concatenated — no per-op allocation.
+  const std::uint64_t salt = std::hash<std::string>{}(name_) ^
+                             std::hash<std::string_view>{}(path);
+  auto tracked = [&] {
+    auto outcome = op();
+    // kNotFound etc. are misses, not tier failures — don't poison the
+    // health window with them.
+    if (outcome.ok()) health_.RecordSuccess();
+    if (IsRetryableError(outcome)) health_.RecordFailure();
+    return outcome;
+  };
+  return RetryWithBackoff(retry_, salt, tracked, [this](const auto&) {
+    retries_local_.fetch_add(1, std::memory_order_relaxed);
+    if (retries_ != nullptr) retries_->Increment();
+  });
 }
 
 Result<std::size_t> StorageDriver::Read(std::string_view path,
@@ -56,28 +72,7 @@ Result<std::size_t> StorageDriver::Read(std::string_view path,
   // Charge the tenant before the engine op: the token-bucket wait IS
   // the bandwidth enforcement (charged once, not per retry attempt).
   ChargeQos(dst.size());
-  // Salt the jitter stream per (tier, file) so concurrent retries across
-  // files don't sleep in lockstep, while staying deterministic per run.
-  // Hashes are combined instead of concatenated — no per-read allocation.
-  Backoff backoff(retry_, std::hash<std::string>{}(name_) ^
-                              std::hash<std::string_view>{}(path));
-  for (;;) {
-    auto read = engine_->Read(path, offset, dst);
-    if (read.ok()) {
-      health_.RecordSuccess();
-      return read;
-    }
-    if (!IsRetryableError(read.status())) {
-      // kNotFound etc. are misses, not tier failures — don't poison the
-      // health window with them.
-      return read;
-    }
-    health_.RecordFailure();
-    const auto delay = backoff.NextDelay();
-    if (!delay.has_value()) return read;
-    CountRetry();
-    PreciseSleep(*delay);
-  }
+  return Retried(path, [&] { return engine_->Read(path, offset, dst); });
 }
 
 Result<storage::ReadView> StorageDriver::ReadZeroCopy(std::string_view path,
@@ -85,26 +80,13 @@ Result<storage::ReadView> StorageDriver::ReadZeroCopy(std::string_view path,
                                                       std::uint64_t max_bytes,
                                                       bool allow_zero_copy) {
   ChargeQos(max_bytes);
-  Backoff backoff(retry_, std::hash<std::string>{}(name_) ^
-                              std::hash<std::string_view>{}(path));
-  for (;;) {
+  return Retried(path, [&] {
     // The qualified call is the non-virtual base implementation: always a
     // private copy routed through the engine's own Read.
-    auto view = allow_zero_copy
-                    ? engine_->ReadZeroCopy(path, offset, max_bytes)
-                    : engine_->storage::StorageEngine::ReadZeroCopy(
-                          path, offset, max_bytes);
-    if (view.ok()) {
-      health_.RecordSuccess();
-      return view;
-    }
-    if (!IsRetryableError(view.status())) return view;
-    health_.RecordFailure();
-    const auto delay = backoff.NextDelay();
-    if (!delay.has_value()) return view;
-    CountRetry();
-    PreciseSleep(*delay);
-  }
+    return allow_zero_copy ? engine_->ReadZeroCopy(path, offset, max_bytes)
+                           : engine_->storage::StorageEngine::ReadZeroCopy(
+                                 path, offset, max_bytes);
+  });
 }
 
 Status StorageDriver::Write(const std::string& path,
@@ -113,20 +95,7 @@ Status StorageDriver::Write(const std::string& path,
     return FailedPreconditionError("write to read-only tier '" + name_ + "'");
   }
   ChargeQos(data.size());
-  Backoff backoff(retry_, std::hash<std::string>{}(name_ + path) ^ 0x57u);
-  for (;;) {
-    const Status written = engine_->Write(path, data);
-    if (written.ok()) {
-      health_.RecordSuccess();
-      return written;
-    }
-    if (!IsRetryableError(written)) return written;
-    health_.RecordFailure();
-    const auto delay = backoff.NextDelay();
-    if (!delay.has_value()) return written;
-    CountRetry();
-    PreciseSleep(*delay);
-  }
+  return Retried(path, [&] { return engine_->Write(path, data); });
 }
 
 Status StorageDriver::WriteAt(const std::string& path, std::uint64_t offset,
@@ -137,20 +106,8 @@ Status StorageDriver::WriteAt(const std::string& path, std::uint64_t offset,
   ChargeQos(data.size());
   // Retrying a chunk is safe: WriteAt is an idempotent overwrite of the
   // same byte range.
-  Backoff backoff(retry_, std::hash<std::string>{}(name_ + path) ^ offset);
-  for (;;) {
-    const Status written = engine_->WriteAt(path, offset, data);
-    if (written.ok()) {
-      health_.RecordSuccess();
-      return written;
-    }
-    if (!IsRetryableError(written)) return written;
-    health_.RecordFailure();
-    const auto delay = backoff.NextDelay();
-    if (!delay.has_value()) return written;
-    CountRetry();
-    PreciseSleep(*delay);
-  }
+  return Retried(path,
+                 [&] { return engine_->WriteAt(path, offset, data); });
 }
 
 Status StorageDriver::Delete(const std::string& path) {

@@ -107,8 +107,10 @@ class StorageDriver {
   }
 
  private:
-  /// Note one absorbed retry (per-driver count + process-wide counter).
-  void CountRetry() noexcept;
+  /// Runs one engine op on `path` under the retry policy; feeds the
+  /// tier's health tracker and counts every retry.
+  template <typename Op>
+  auto Retried(std::string_view path, Op op);
 
   /// Charge `bytes` to the ambient tenant through the broker (no-op
   /// while no broker is installed or enforcement is off).

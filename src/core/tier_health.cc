@@ -26,12 +26,6 @@ TierHealth::TierHealth(std::string tier_name, TierHealthOptions options)
   }
 }
 
-std::int64_t TierHealth::NowNs() const noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             SteadyClock::now().time_since_epoch())
-      .count();
-}
-
 bool TierHealth::AllowRequest() noexcept {
   if (!options_.enabled) return true;
   switch (state()) {
@@ -40,12 +34,7 @@ bool TierHealth::AllowRequest() noexcept {
       return true;
     case CircuitState::kOpen: {
       const std::int64_t opened = opened_at_ns_.load(std::memory_order_acquire);
-      if (NowNs() - opened <
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              options_.cooldown)
-              .count()) {
-        return false;
-      }
+      if (NowNs() - opened < options_.cooldown.count()) return false;
       TransitionToHalfOpen();
       // Whether this caller won the transition race or another did, the
       // circuit is no longer rejecting: admit the probe.

@@ -103,8 +103,6 @@ class TierHealth {
   void TransitionToClosed() noexcept;
   void PublishTransition(const char* event) noexcept;
 
-  [[nodiscard]] std::int64_t NowNs() const noexcept;
-
   const std::string name_;
   const TierHealthOptions options_;
 

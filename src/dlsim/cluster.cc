@@ -1,7 +1,6 @@
 #include "dlsim/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -533,20 +532,18 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
   std::atomic<bool> training_done{false};
   if (churn_active) {
     churn_driver = std::thread([&] {
-      using namespace std::chrono_literals;
-      constexpr auto kStallWindow = 700ms;
+      const Duration kStallWindow = Millis(700);
       for (const ChurnEvent& event : schedule) {
         std::uint64_t last_opens = gate->opens();
-        auto last_progress = std::chrono::steady_clock::now();
+        TimePoint last_progress = ProcessClock().Now();
         while (gate->opens() < event.after_opens &&
                !training_done.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(2ms);
+          ProcessClock().SleepFor(Millis(2));
           const std::uint64_t now_opens = gate->opens();
-          const auto now = std::chrono::steady_clock::now();
           if (now_opens != last_opens) {
             last_opens = now_opens;
-            last_progress = now;
-          } else if (now - last_progress > kStallWindow) {
+            last_progress = ProcessClock().Now();
+          } else if (ProcessClock().Now() - last_progress > kStallWindow) {
             break;  // stalled: fire the event to unwedge the cluster
           }
         }
@@ -559,8 +556,8 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
             gate->SetDown(event.node, true);
             peer_group->network()->SetNodeDown(event.node, true);
             if (config.churn_detection_lag_us > 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(
-                  config.churn_detection_lag_us));
+              ProcessClock().SleepFor(Micros(
+                  static_cast<std::int64_t>(config.churn_detection_lag_us)));
             }
             peer_group->KillNode(event.node);
             break;
@@ -593,11 +590,10 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
   // Let the repair pumps finish the queued re-staging before stopping
   // them — replication should be restored by the time we report health.
   if (peer_group) {
-    const auto drain_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    const TimePoint drain_deadline = ProcessClock().Now() + Millis(3000);
     while (peer_group->directory().RestageQueueDepth() > 0 &&
-           std::chrono::steady_clock::now() < drain_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+           ProcessClock().Now() < drain_deadline) {
+      ProcessClock().SleepFor(Millis(5));
     }
     for (auto& pump : pumps) pump->Stop();
   }

@@ -43,7 +43,7 @@ void ComputeEngine::Step(std::uint64_t batch_size) {
       batch_size == 0 ? 0.0 : 1.0;  // frameworks pad the last batch
   const Duration duration = std::chrono::duration_cast<Duration>(
       profile_.step_time * fraction);
-  PreciseSleep(duration);
+  ProcessClock().SleepFor(duration);
   busy_ += duration;
   ++steps_;
 }

@@ -78,7 +78,7 @@ bool EpochLoader::PumpRecords(tfrecord::RandomAccessSource& source,
     // Parallel preprocessing on the reader thread (tf.data map): decode
     // / augmentation cost proportional to nothing but the profile.
     if (config_.preprocess_per_sample > kZeroDuration) {
-      PreciseSleep(config_.preprocess_per_sample);
+      ProcessClock().SleepFor(config_.preprocess_per_sample);
       monitor_.AddBusy(Resource::kCpu, config_.preprocess_per_sample);
     }
 

@@ -121,7 +121,7 @@ void MapStyleEpoch::WorkerLoop() {
     }
 
     if (config_.preprocess_per_sample > kZeroDuration) {
-      PreciseSleep(config_.preprocess_per_sample);
+      ProcessClock().SleepFor(config_.preprocess_per_sample);
       monitor_.AddBusy(Resource::kCpu, config_.preprocess_per_sample);
     }
     const auto bytes = static_cast<std::int64_t>(payload.size());

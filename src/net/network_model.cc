@@ -54,7 +54,7 @@ bool NetworkModel::Reachable(int from, int to) const {
 }
 
 void NetworkModel::ChargeRpcTimeout() {
-  PreciseSleep(profile_.rpc_timeout);
+  ProcessClock().SleepFor(profile_.rpc_timeout);
   timeouts_local_.fetch_add(1, std::memory_order_relaxed);
   if (rpc_timeouts_ != nullptr) rpc_timeouts_->Increment();
 }
@@ -67,14 +67,16 @@ void NetworkModel::ChargeTransfer(std::uint64_t bytes) {
     if (tenant != nullptr) qos_broker_->Acquire(tenant->tenant_id, bytes);
   }
   const Duration wait = bucket_.Reserve(static_cast<double>(bytes));
-  PreciseSleep(profile_.hop_latency + wait);
+  ProcessClock().SleepFor(profile_.hop_latency + wait);
   transfers_local_.fetch_add(1, std::memory_order_relaxed);
   bytes_local_.fetch_add(bytes, std::memory_order_relaxed);
   if (transfers_ != nullptr) transfers_->Increment();
   if (bytes_transferred_ != nullptr) bytes_transferred_->Increment(bytes);
 }
 
-void NetworkModel::ChargeRpc() { PreciseSleep(profile_.hop_latency); }
+void NetworkModel::ChargeRpc() {
+  ProcessClock().SleepFor(profile_.hop_latency);
+}
 
 Duration NetworkModel::PredictTransfer(std::uint64_t bytes) const {
   return profile_.hop_latency +

@@ -66,7 +66,7 @@ void BandwidthBroker::RegisterTenant(const TenantContext& tenant) {
     state.limiter = std::make_unique<RateLimiter>(
         std::max(options_.total_rate_bps, 1.0));
   }
-  RecomputeSharesLocked(SteadyClock::now());
+  RecomputeSharesLocked(ProcessClock().Now());
 }
 
 BandwidthBroker::Tenant& BandwidthBroker::GetTenantLocked(int tenant_id) {
@@ -126,7 +126,7 @@ Duration BandwidthBroker::Reserve(int tenant_id, std::uint64_t bytes) {
   {
     std::lock_guard lock(mu_);
     Tenant& tenant = GetTenantLocked(tenant_id);
-    const TimePoint now = SteadyClock::now();
+    const TimePoint now = ProcessClock().Now();
     const bool was_idle =
         now - tenant.last_active > options_.active_window;
     tenant.last_active = now;
@@ -165,7 +165,7 @@ void BandwidthBroker::Acquire(int tenant_id, std::uint64_t bytes) {
             ",\"bytes\":" + std::to_string(bytes) +
             ",\"wait_us\":" + std::to_string(wait_us));
   }
-  PreciseSleep(wait);
+  ProcessClock().SleepFor(wait);
 }
 
 void BandwidthBroker::AcquireCurrent(const TenantContext& fallback,

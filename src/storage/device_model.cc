@@ -52,46 +52,43 @@ DeviceModel::DeviceModel(DeviceProfile profile, ContentionModel contention)
       read_bucket_(profile_.read_bandwidth_bps),
       write_bucket_(profile_.write_bandwidth_bps) {}
 
-ContentionModel::Sample DeviceModel::Condition() {
-  return contention_.Current(SteadyClock::now());
-}
+namespace {
 
-void DeviceModel::ChargeRead(std::uint64_t bytes) {
-  const auto cond = Condition();
+/// Sleeps the contention-inflated latency plus `bytes`' transfer wait.
+void Charge(ContentionModel& contention, Duration base_latency,
+            RateLimiter& bucket, double bandwidth_bps, std::uint64_t bytes) {
+  const auto cond = contention.Current(ProcessClock().Now());
   // Latency component, inflated by contention.
   const Duration latency = std::chrono::duration_cast<Duration>(
-      profile_.read_latency * cond.latency_multiplier);
+      base_latency * cond.latency_multiplier);
   // Bandwidth component: reserve tokens at base rate, then stretch the
   // wait by the unavailable fraction (other jobs consuming the device).
-  Duration transfer = read_bucket_.Reserve(static_cast<double>(bytes));
+  Duration transfer = bucket.Reserve(static_cast<double>(bytes));
   if (cond.bandwidth_factor < 1.0) {
     const Duration nominal =
-        FromSeconds(static_cast<double>(bytes) / profile_.read_bandwidth_bps);
-    const Duration stretched = FromSeconds(
-        ToSeconds(std::max(transfer, nominal)) / cond.bandwidth_factor);
-    transfer = stretched;
-  }
-  PreciseSleep(latency + transfer);
-}
-
-void DeviceModel::ChargeWrite(std::uint64_t bytes) {
-  const auto cond = Condition();
-  const Duration latency = std::chrono::duration_cast<Duration>(
-      profile_.write_latency * cond.latency_multiplier);
-  Duration transfer = write_bucket_.Reserve(static_cast<double>(bytes));
-  if (cond.bandwidth_factor < 1.0) {
-    const Duration nominal = FromSeconds(static_cast<double>(bytes) /
-                                         profile_.write_bandwidth_bps);
+        FromSeconds(static_cast<double>(bytes) / bandwidth_bps);
     transfer = FromSeconds(ToSeconds(std::max(transfer, nominal)) /
                            cond.bandwidth_factor);
   }
-  PreciseSleep(latency + transfer);
+  ProcessClock().SleepFor(latency + transfer);
+}
+
+}  // namespace
+
+void DeviceModel::ChargeRead(std::uint64_t bytes) {
+  Charge(contention_, profile_.read_latency, read_bucket_,
+         profile_.read_bandwidth_bps, bytes);
+}
+
+void DeviceModel::ChargeWrite(std::uint64_t bytes) {
+  Charge(contention_, profile_.write_latency, write_bucket_,
+         profile_.write_bandwidth_bps, bytes);
 }
 
 void DeviceModel::ChargeMetadata() {
-  const auto cond = Condition();
-  PreciseSleep(std::chrono::duration_cast<Duration>(
-      profile_.metadata_latency * cond.latency_multiplier));
+  // Zero bytes reserve nothing: only the inflated latency is slept.
+  Charge(contention_, profile_.metadata_latency, read_bucket_,
+         profile_.read_bandwidth_bps, 0);
 }
 
 Duration DeviceModel::PredictRead(std::uint64_t bytes) const {

@@ -1,6 +1,6 @@
 // Device performance model: turns configured bandwidth/latency figures
-// (plus an optional contention process) into the wall-clock cost of each
-// I/O request, shared fairly across threads via token buckets.
+// (plus an optional contention process) into the process-clock cost of
+// each I/O request, shared fairly across threads via token buckets.
 //
 // Profiles are expressed at "simulation scale": the benches run datasets
 // scaled 1/1000 from the paper's, so a profile's bandwidth is likewise
@@ -59,8 +59,6 @@ class DeviceModel {
   [[nodiscard]] Duration PredictRead(std::uint64_t bytes) const;
 
  private:
-  ContentionModel::Sample Condition();
-
   DeviceProfile profile_;
   ContentionModel contention_;
   RateLimiter read_bucket_;

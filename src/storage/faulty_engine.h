@@ -48,19 +48,14 @@ class FaultyEngine final : public StorageEngine {
 
   /// Hard-down window: every injectable op fails until `duration` elapses.
   void FailFor(monarch::Duration duration) {
-    outage_until_ns_.store(
-        monarch::SteadyClock::now().time_since_epoch().count() +
-        std::chrono::duration_cast<monarch::Duration>(duration).count());
+    outage_until_ns_.store(monarch::NowNs() + duration.count());
   }
   /// Hard-down until Heal() is called.
-  void FailUntilHealed() { outage_until_ns_.store(-1); }
+  void FailUntilHealed() { outage_until_ns_.store(INT64_MAX); }
   /// End any outage window immediately.
   void Heal() { outage_until_ns_.store(0); }
   [[nodiscard]] bool in_outage() const noexcept {
-    const std::int64_t until = outage_until_ns_.load();
-    if (until == 0) return false;
-    if (until < 0) return true;
-    return monarch::SteadyClock::now().time_since_epoch().count() < until;
+    return monarch::NowNs() < outage_until_ns_.load();
   }
 
   /// UNAVAILABLE errors injected so far (outage + forced + probabilistic).
@@ -184,7 +179,7 @@ class FaultyEngine final : public StorageEngine {
   std::atomic<int> forced_write_failures_{0};
   std::atomic<int> forced_metadata_failures_{0};
   std::atomic<int> forced_corruptions_{0};
-  /// 0 = no outage, -1 = until Heal(), >0 = steady-clock deadline (ns).
+  /// NowNs() deadline; 0 = no outage, INT64_MAX = until Heal().
   std::atomic<std::int64_t> outage_until_ns_{0};
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> corrupted_{0};

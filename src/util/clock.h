@@ -1,5 +1,7 @@
-// Time helpers: monotonic stopwatch, precise sleeping, and duration types
-// shared by the device models and the training simulator.
+// Time helpers: duration types, the stopwatch, and the one process clock.
+// Code that ACTS on time (modelled sleeps, token buckets, backoff,
+// breaker, outage and quarantine windows) goes through ProcessClock();
+// code that only MEASURES time reads SteadyClock (DESIGN.md "Time").
 #pragma once
 
 #include <chrono>
@@ -43,7 +45,7 @@ class Stopwatch {
 
 /// Sleep that stays accurate for sub-millisecond waits: sleeps the bulk,
 /// spins the tail. Device models issue many ~10-100us waits where plain
-/// sleep_for overshoots badly under CFS.
+/// sleep_for overshoots badly under CFS. RealClock sleeps with it.
 inline void PreciseSleep(Duration d) {
   if (d <= kZeroDuration) return;
   const TimePoint deadline = SteadyClock::now() + d;
@@ -55,5 +57,38 @@ inline void PreciseSleep(Duration d) {
     std::this_thread::yield();
   }
 }
+
+/// A source of "now" that can also block the caller until a later now.
+class Clock {
+ public:
+  virtual ~Clock() = default;
+
+  [[nodiscard]] virtual TimePoint Now() const = 0;
+  /// Blocks for `d` of this clock's time; non-positive `d` returns at once.
+  virtual void SleepFor(Duration d) = 0;
+  /// Blocks until Now() >= `deadline`.
+  void SleepUntil(TimePoint deadline) { SleepFor(deadline - Now()); }
+};
+
+/// Wall time: steady_clock, sleeping with PreciseSleep.
+class RealClock final : public Clock {
+ public:
+  [[nodiscard]] TimePoint Now() const override { return SteadyClock::now(); }
+  void SleepFor(Duration d) override { PreciseSleep(d); }
+};
+
+/// The process clock: a RealClock unless a test installed another.
+[[nodiscard]] Clock& ProcessClock() noexcept;
+
+/// ProcessClock().Now() in ns since its epoch, the form lock-free
+/// deadlines are kept in (never 0, so 0 can mean "no deadline").
+[[nodiscard]] inline std::int64_t NowNs() noexcept {
+  return Duration(ProcessClock().Now().time_since_epoch()).count();
+}
+
+/// Makes `clock` the process clock and returns the one it replaced. For
+/// tests only: ManualClock (tests/test_support.h) is the scoped override
+/// built on it, installed before the objects under test.
+Clock* ExchangeProcessClock(Clock* clock) noexcept;
 
 }  // namespace monarch

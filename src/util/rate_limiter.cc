@@ -10,7 +10,7 @@ RateLimiter::RateLimiter(double rate_per_sec, double burst)
       burst_(burst > 0.0 ? burst : rate_per_sec / 20.0),
       default_burst_(burst <= 0.0),
       available_(burst_),
-      last_refill_(SteadyClock::now()) {
+      last_refill_(ProcessClock().Now()) {
   assert(rate_per_sec > 0.0 && "rate must be positive");
 }
 
@@ -24,20 +24,21 @@ void RateLimiter::RefillLocked(TimePoint now) {
 Duration RateLimiter::Reserve(double tokens) {
   if (tokens <= 0.0) return kZeroDuration;
   std::lock_guard<std::mutex> lock(mu_);
-  const TimePoint now = SteadyClock::now();
-  RefillLocked(now);
+  RefillLocked(ProcessClock().Now());
   available_ -= tokens;
   if (available_ >= 0.0) return kZeroDuration;
   // Debt model: the caller waits until its share of the deficit refills.
   return FromSeconds(-available_ / rate_);
 }
 
-void RateLimiter::Acquire(double tokens) { PreciseSleep(Reserve(tokens)); }
+void RateLimiter::Acquire(double tokens) {
+  ProcessClock().SleepFor(Reserve(tokens));
+}
 
 void RateLimiter::SetRate(double rate_per_sec) {
   assert(rate_per_sec > 0.0);
   std::lock_guard<std::mutex> lock(mu_);
-  RefillLocked(SteadyClock::now());
+  RefillLocked(ProcessClock().Now());
   rate_ = rate_per_sec;
   // A defaulted burst tracks the rate (1/20 s worth); an explicit burst
   // is the caller's contract and stays put. Either way the balance must

@@ -1,5 +1,5 @@
 // Token-bucket rate limiter. The device models use one bucket per storage
-// device to turn a configured bandwidth (bytes/s) into the wall-clock
+// device to turn a configured bandwidth (bytes/s) into the process-clock
 // delay a request of N bytes experiences, shared fairly across all
 // threads hitting that device.
 #pragma once
@@ -23,7 +23,7 @@ class RateLimiter {
   /// bucket covers the request). Never blocks by itself.
   [[nodiscard]] Duration Reserve(double tokens);
 
-  /// Reserve then PreciseSleep the returned wait.
+  /// Reserve, then sleep the returned wait on the process clock.
   void Acquire(double tokens);
 
   /// Change the refill rate (used when contention squeezes PFS

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <numeric>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "../test_support.h"
+#include "obs/metrics_registry.h"
+#include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 
 namespace monarch::core {
@@ -92,6 +97,103 @@ TEST(StorageDriverTest, FreeBytesSaturatesAtZero) {
   ASSERT_TRUE(driver.Reserve(10));
   EXPECT_EQ(0u, driver.free_bytes());
 }
+
+// The four engine ops share one retry helper. Each case drives one op
+// through a FaultyEngine on a ManualClock, so the waits are exact.
+enum class DriverOp { kRead, kReadZeroCopy, kWrite, kWriteAt };
+
+class StorageDriverRetryTest : public ::testing::TestWithParam<DriverOp> {
+ protected:
+  /// Every delay the driver's Backoff hands out for `path` on `tier`:
+  /// the jitter salt is hash(tier) ^ hash(path) for all four ops.
+  static std::vector<Duration> Schedule(const RetryPolicy& policy,
+                                        std::string_view tier,
+                                        std::string_view path) {
+    Backoff backoff(policy, std::hash<std::string_view>{}(tier) ^
+                                std::hash<std::string_view>{}(path));
+    std::vector<Duration> delays;
+    while (const auto delay = backoff.NextDelay()) delays.push_back(*delay);
+    return delays;
+  }
+
+  /// Fails the op under test `n` times, then runs it once.
+  Status Run(StorageDriver& driver, storage::FaultyEngine& faulty, int n) {
+    std::vector<std::byte> buf(3);
+    switch (GetParam()) {
+      case DriverOp::kRead:
+        faulty.FailNextReads(n);
+        return driver.Read("f", 0, buf).status();
+      case DriverOp::kReadZeroCopy:
+        faulty.FailNextReads(n);
+        return driver.ReadZeroCopy("f", 0, 3).status();
+      case DriverOp::kWrite:
+        faulty.FailNextWrites(n);
+        return driver.Write("f", testing::Bytes("xyz"));
+      case DriverOp::kWriteAt:
+        faulty.FailNextWrites(n);
+        return driver.WriteAt("f", 1, testing::Bytes("yz"));
+    }
+    return InternalError("unknown op");
+  }
+
+  testing::ManualClock clock_;
+  obs::Counter* retries_ = obs::MetricsRegistry::Global().GetCounter(
+      "storage.retries", "ops",
+      "engine operations retried after a transient (UNAVAILABLE) failure");
+};
+
+TEST_P(StorageDriverRetryTest, TransientFailureRetriesOnTheBackoffSchedule) {
+  const RetryPolicy policy;
+  auto faulty = std::make_shared<storage::FaultyEngine>(
+      std::make_shared<storage::MemoryEngine>(),
+      storage::FaultyEngine::FaultSpec{});
+  StorageDriver driver("local", faulty, 0, false, policy);
+  ASSERT_OK(faulty->Write("f", testing::Bytes("abc")));
+  const std::uint64_t retries_before = retries_->Value();
+
+  ASSERT_OK(Run(driver, *faulty, 2));
+
+  const std::vector<Duration> schedule = Schedule(policy, "local", "f");
+  ASSERT_GE(schedule.size(), 2u);
+  EXPECT_EQ(schedule[0] + schedule[1], clock_.Elapsed());
+  EXPECT_EQ(2u, driver.retries());
+  EXPECT_EQ(2u, retries_->Value() - retries_before);
+}
+
+TEST_P(StorageDriverRetryTest, PersistentFailureStopsAtTheBudget) {
+  RetryPolicy policy;
+  policy.max_attempts = 1000;  // the budget, not the attempts, ends it
+  policy.initial_backoff = Millis(1);
+  auto faulty = std::make_shared<storage::FaultyEngine>(
+      std::make_shared<storage::MemoryEngine>(),
+      storage::FaultyEngine::FaultSpec{});
+  StorageDriver driver("local", faulty, 0, false, policy);
+  ASSERT_OK(faulty->Write("f", testing::Bytes("abc")));
+  const std::uint64_t retries_before = retries_->Value();
+
+  EXPECT_STATUS_CODE(StatusCode::kUnavailable, Run(driver, *faulty, 1000));
+
+  const std::vector<Duration> schedule = Schedule(policy, "local", "f");
+  EXPECT_EQ(std::accumulate(schedule.begin(), schedule.end(), kZeroDuration),
+            clock_.Elapsed());
+  EXPECT_EQ(policy.budget, clock_.Elapsed());
+  EXPECT_EQ(schedule.size(), driver.retries());
+  EXPECT_EQ(schedule.size(), retries_->Value() - retries_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, StorageDriverRetryTest,
+    ::testing::Values(DriverOp::kRead, DriverOp::kReadZeroCopy,
+                      DriverOp::kWrite, DriverOp::kWriteAt),
+    [](const ::testing::TestParamInfo<DriverOp>& op) -> std::string {
+      switch (op.param) {
+        case DriverOp::kRead: return "Read";
+        case DriverOp::kReadZeroCopy: return "ReadZeroCopy";
+        case DriverOp::kWrite: return "Write";
+        case DriverOp::kWriteAt: return "WriteAt";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace monarch::core

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "../test_support.h"
 #include "util/clock.h"
 
 namespace monarch::core {
@@ -55,12 +56,15 @@ TEST(TierHealthTest, FewSamplesAreNotJudged) {
 }
 
 TEST(TierHealthTest, CooldownHalfOpensThenClosesOnProbeSuccesses) {
+  testing::ManualClock clock;
   TierHealth health("t", FastOptions());
   for (int i = 0; i < 8; ++i) health.RecordFailure();
   ASSERT_EQ(CircuitState::kOpen, health.state());
   EXPECT_FALSE(health.AllowRequest());
 
-  PreciseSleep(Millis(8));  // > cooldown
+  clock.Advance(FastOptions().cooldown - Duration(1));
+  EXPECT_FALSE(health.AllowRequest());  // 1 ns short of the cooldown
+  clock.Advance(Duration(1));
   EXPECT_TRUE(health.AllowRequest());  // first caller flips to half-open
   EXPECT_EQ(CircuitState::kHalfOpen, health.state());
 
@@ -75,9 +79,10 @@ TEST(TierHealthTest, CooldownHalfOpensThenClosesOnProbeSuccesses) {
 }
 
 TEST(TierHealthTest, ProbeFailureReopensImmediately) {
+  testing::ManualClock clock;
   TierHealth health("t", FastOptions());
   for (int i = 0; i < 8; ++i) health.RecordFailure();
-  PreciseSleep(Millis(8));
+  clock.Advance(FastOptions().cooldown);
   ASSERT_TRUE(health.AllowRequest());
   ASSERT_EQ(CircuitState::kHalfOpen, health.state());
 

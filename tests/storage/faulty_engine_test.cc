@@ -121,6 +121,7 @@ TEST(FaultyEngineTest, OutageWindowFailsEverythingUntilHealed) {
 }
 
 TEST(FaultyEngineTest, TimedOutageExpiresOnItsOwn) {
+  monarch::testing::ManualClock clock;
   auto engine = MakeFaulty();
   ASSERT_OK(engine->Write("f", Bytes("abc")));
   engine->FailFor(Millis(5));
@@ -128,7 +129,9 @@ TEST(FaultyEngineTest, TimedOutageExpiresOnItsOwn) {
   std::vector<std::byte> buf(3);
   EXPECT_STATUS_CODE(StatusCode::kUnavailable, engine->Read("f", 0, buf));
 
-  PreciseSleep(Millis(8));
+  clock.Advance(Millis(5) - Duration(1));
+  EXPECT_TRUE(engine->in_outage());
+  clock.Advance(Duration(1));
   EXPECT_FALSE(engine->in_outage());
   ASSERT_OK(engine->Read("f", 0, buf));
 }

@@ -1,15 +1,17 @@
-// Shared test scaffolding: unique temp directories, status matchers, and
-// small factory helpers used across the suite.
+// Shared test scaffolding: unique temp directories, status matchers, a
+// manual process clock, and small factory helpers used across the suite.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "util/clock.h"
 #include "util/status.h"
 
 namespace monarch::testing {
@@ -45,6 +47,41 @@ class TempDir {
 
  private:
   std::filesystem::path path_;
+};
+
+/// A process clock whose time moves only on Advance(), or when a sleeper
+/// jumps it to its wakeup: sleeps return at once, so breaker windows,
+/// token buckets and backoff become exact. The scoped override: it is the
+/// process clock for its lifetime, then the previous clock is restored.
+/// Create it before the objects under test.
+class ManualClock final : public Clock {
+ public:
+  ManualClock() : previous_(ExchangeProcessClock(this)) {}
+  ~ManualClock() override { ExchangeProcessClock(previous_); }
+  ManualClock(const ManualClock&) = delete;
+  ManualClock& operator=(const ManualClock&) = delete;
+
+  /// Time starts one hour past the epoch, so NowNs() is never the 0 that
+  /// deadline atomics use as "no deadline".
+  static constexpr TimePoint kStart{std::chrono::hours(1)};
+
+  [[nodiscard]] TimePoint Now() const override {
+    return TimePoint(Duration(now_ns_.load(std::memory_order_acquire)));
+  }
+  /// Jumps to the sleeper's wakeup, Now() + d (never backwards).
+  void SleepFor(Duration d) override {
+    std::int64_t now = now_ns_.load(std::memory_order_acquire);
+    const std::int64_t target = now + std::max(d.count(), std::int64_t{0});
+    while (now < target && !now_ns_.compare_exchange_weak(now, target)) {
+    }
+  }
+  void Advance(Duration d) { now_ns_.fetch_add(d.count()); }
+  /// Time advanced since construction.
+  [[nodiscard]] Duration Elapsed() const { return Now() - kStart; }
+
+ private:
+  std::atomic<std::int64_t> now_ns_{kStart.time_since_epoch().count()};
+  Clock* previous_;
 };
 
 /// Bytes from a string literal (test payloads).

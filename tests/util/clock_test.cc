@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "../test_support.h"
+
 namespace monarch {
 namespace {
 
@@ -72,6 +74,68 @@ TEST(PreciseSleepTest, LongSleepUsesBlockingWait) {
   const double elapsed = timer.ElapsedSeconds();
   EXPECT_GE(elapsed, 0.019);
   EXPECT_LT(elapsed, 0.2);
+}
+
+TEST(ClockTest, ProcessClockIsRealByDefault) {
+  EXPECT_NE(nullptr, dynamic_cast<RealClock*>(&ProcessClock()));
+  const TimePoint before = SteadyClock::now();
+  EXPECT_LE(before, ProcessClock().Now());
+}
+
+TEST(ClockTest, ManualClockMovesOnlyOnAdvance) {
+  testing::ManualClock clock;
+  EXPECT_EQ(testing::ManualClock::kStart, clock.Now());
+  EXPECT_EQ(clock.Now(), clock.Now());
+  clock.Advance(Millis(5));
+  EXPECT_EQ(testing::ManualClock::kStart + Millis(5), clock.Now());
+  EXPECT_EQ(Millis(5), clock.Elapsed());
+}
+
+TEST(ClockTest, ManualSleepJumpsToTheWakeup) {
+  testing::ManualClock clock;
+  clock.SleepFor(Millis(3));
+  EXPECT_EQ(Millis(3), clock.Elapsed());
+  clock.SleepFor(kZeroDuration);
+  clock.SleepFor(Millis(-4));
+  EXPECT_EQ(Millis(3), clock.Elapsed());
+  clock.SleepUntil(testing::ManualClock::kStart + Millis(10));
+  EXPECT_EQ(Millis(10), clock.Elapsed());
+  clock.SleepUntil(testing::ManualClock::kStart + Millis(1));  // past
+  EXPECT_EQ(Millis(10), clock.Elapsed());
+}
+
+TEST(ClockTest, ManualClockIsTheProcessClockWhileAlive) {
+  {
+    testing::ManualClock clock;
+    EXPECT_EQ(&clock, &ProcessClock());
+    ProcessClock().SleepFor(Millis(50));
+    EXPECT_EQ(Millis(50), clock.Elapsed());
+    EXPECT_EQ(clock.Now().time_since_epoch().count(), NowNs());
+  }
+  EXPECT_NE(nullptr, dynamic_cast<RealClock*>(&ProcessClock()));
+}
+
+TEST(ClockTest, ScopedOverridesRestoreInOrder) {
+  Clock& real = ProcessClock();
+  {
+    testing::ManualClock outer;
+    {
+      testing::ManualClock inner;
+      EXPECT_EQ(&inner, &ProcessClock());
+    }
+    EXPECT_EQ(&outer, &ProcessClock());
+  }
+  EXPECT_EQ(&real, &ProcessClock());
+}
+
+TEST(ClockTest, RealClockSleepsAtLeastTheDuration) {
+  RealClock clock;
+  const TimePoint start = clock.Now();
+  clock.SleepFor(Millis(2));
+  EXPECT_GE(clock.Now() - start, Millis(2));
+  const TimePoint deadline = clock.Now() + Millis(2);
+  clock.SleepUntil(deadline);
+  EXPECT_GE(clock.Now(), deadline);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "../test_support.h"
 #include "util/clock.h"
 
 namespace monarch {
@@ -31,9 +32,11 @@ TEST(RateLimiterTest, ZeroTokensFree) {
 }
 
 TEST(RateLimiterTest, RefillsOverTime) {
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/10000.0, /*burst=*/100.0);
   limiter.Acquire(100.0);
-  PreciseSleep(Millis(20));  // refills ~200 tokens, capped at burst=100
+  EXPECT_EQ(kZeroDuration, clock.Elapsed());  // the burst covered it
+  clock.Advance(Millis(20));  // refills 200 tokens, capped at burst=100
   EXPECT_EQ(kZeroDuration, limiter.Reserve(90.0));
 }
 
@@ -48,13 +51,12 @@ TEST(RateLimiterTest, SetRateTakesEffect) {
 }
 
 TEST(RateLimiterTest, SustainedThroughputMatchesRate) {
-  // Acquire 40 x 25 tokens at rate 5000/s: ideal time 0.2s (minus burst).
+  // Acquire 40 x 25 tokens at rate 5000/s: the burst covers the first,
+  // each of the other 39 waits 25/5000 s = 5 ms.
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/5000.0, /*burst=*/25.0);
-  const Stopwatch timer;
   for (int i = 0; i < 40; ++i) limiter.Acquire(25.0);
-  const double elapsed = timer.ElapsedSeconds();
-  EXPECT_GT(elapsed, 0.12);
-  EXPECT_LT(elapsed, 0.40);
+  EXPECT_EQ(Millis(195), clock.Elapsed());
 }
 
 TEST(RateLimiterTest, ConcurrentAcquirersShareTheRate) {
@@ -72,13 +74,14 @@ TEST(RateLimiterTest, ConcurrentAcquirersShareTheRate) {
 }
 
 TEST(RateLimiterTest, BurstCapClampsIdleRefill) {
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/100000.0, /*burst=*/50.0);
   limiter.Acquire(50.0);      // drain the bucket
-  PreciseSleep(Millis(50));   // would refill 5000 tokens uncapped
+  clock.Advance(Millis(50));  // would refill 5000 tokens uncapped
   // Only the 50-token cap survives the idle period: the first 50 are
-  // free, the next request immediately owes debt.
+  // free, the next request owes a full bucket of debt (50/100000 s).
   EXPECT_EQ(kZeroDuration, limiter.Reserve(50.0));
-  EXPECT_GT(limiter.Reserve(50.0), kZeroDuration);
+  EXPECT_EQ(Micros(500), limiter.Reserve(50.0));
 }
 
 TEST(RateLimiterTest, DefaultBurstIsTwentiethOfRate) {
@@ -92,13 +95,12 @@ TEST(RateLimiterTest, DefaultBurstIsTwentiethOfRate) {
 TEST(RateLimiterTest, RefillRoundingAccumulatesSmallSlices) {
   // Many sub-token reservations must not each round their refill down
   // to zero: 200 x 0.5 tokens at 1000/s is 0.1s of work, not 100 stalls.
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/1000.0, /*burst=*/1.0);
   limiter.Acquire(1.0);  // exhaust burst
-  const Stopwatch timer;
+  EXPECT_EQ(kZeroDuration, clock.Elapsed());
   for (int i = 0; i < 200; ++i) limiter.Acquire(0.5);
-  const double elapsed = timer.ElapsedSeconds();
-  EXPECT_GT(elapsed, 0.05);
-  EXPECT_LT(elapsed, 0.5);
+  EXPECT_EQ(Millis(100), clock.Elapsed());
 }
 
 TEST(RateLimiterTest, SetRateRescalesDefaultBurstAndClampsBalance) {

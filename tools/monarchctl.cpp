@@ -833,7 +833,7 @@ int CmdFaults(const Args& args) {
     // In-memory epochs are microseconds; pause past the breaker cooldown
     // so an opened circuit gets its half-open probe window and the table
     // shows the recovery, as a real epoch boundary would.
-    PreciseSleep(Millis(25));
+    ProcessClock().SleepFor(Millis(25));
     read_errors += epoch_errors;
     byte_mismatches += epoch_mismatches;
     const auto stats = (*monarch)->Stats();
