@@ -46,10 +46,11 @@ cmake --build build-asan
 ./build-asan/tests/monarch_tests
 # Repeat leg: the ring's batch sort, the pack x peer rung and chunk
 # staging race placement and eviction, and the placement handler's one
-# claim/drop path serves staging, eviction, quarantine and cleanup; one
-# pass rarely hits the window.
+# claim/copy/drop path serves every staged chunk (whole-file mode's one
+# chunk and pack chunks) for staging, prestage, eviction, quarantine and
+# cleanup; one pass rarely hits the window.
 ./build-asan/tests/monarch_tests \
-    --gtest_filter='ReadRing*:PackPeer*:Chunk*:PlacementHandler*:Eviction*:Cleanup*:QosPlacement*' \
+    --gtest_filter='ReadRing*:PackPeer*:Chunk*:PlacementHandler*:Eviction*:Cleanup*:QosPlacement*:ResilienceLadder*:StagingPipeline*:Prestage*' \
     --gtest_repeat=20
 
 echo "benches (quick pass):"

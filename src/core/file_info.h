@@ -1,14 +1,14 @@
 // FileInfo: the per-file entry of MONARCH's virtual namespace (§III-A,
-// "metadata container"). Tracks the file's size and which storage level
-// currently serves it, plus the placement state machine that makes the
-// first-epoch staging race-free:
+// "metadata container"). Tracks the file's size, its chunk map — the
+// staging unit whose claim bits make first-epoch staging race-free — and
+// a file-level view of that map for policies and tests:
 //
-//   kPfsOnly --(first read seen)--> kFetching --(copy done)--> kPlaced
-//        ^                              |
-//        +------(copy failed)----------+
+//   kPfsOnly --(chunk claimed)--> kFetching --(chunk published)--> kPlaced
+//        ^                            |                              |
+//        +----(claims released)------+-----(last chunk dropped)-----+
 //
-// The kPfsOnly->kFetching transition is a CAS, so concurrent reads of the
-// same file schedule exactly one background copy.
+// The placement handler rewrites the view (state and level) under the
+// map's placement mutex whenever a claim, publish or drop changes it.
 #pragma once
 
 #include <atomic>
@@ -34,9 +34,9 @@ struct FileInfo {
   const std::string name;       ///< hierarchy-relative path
   const std::uint64_t size;     ///< bytes (fixed for the job's lifetime)
 
-  /// Storage level whose driver currently serves reads of this file.
-  /// Starts at the PFS level; updated once placement completes (⑤ in the
-  /// paper's operation flow).
+  /// Storage level holding the file's staged chunks, the PFS level while
+  /// none is resident (⑤ in the paper's operation flow). A view: the read
+  /// path routes by the chunk map.
   std::atomic<int> level;
 
   std::atomic<PlacementState> state{PlacementState::kPfsOnly};
@@ -44,13 +44,6 @@ struct FileInfo {
   /// Monotonic access stamp, maintained for the eviction-policy ablation
   /// (the paper's design deliberately never evicts; §III-A).
   std::atomic<std::uint64_t> last_access{0};
-
-  /// CRC32C of the staged tier copy, recorded by the placement handler
-  /// when the copy is written; kNoStagedCrc while no (verified) copy
-  /// exists. Stored widened to 64 bits so the sentinel cannot collide
-  /// with a real checksum.
-  static constexpr std::uint64_t kNoStagedCrc = ~0ull;
-  std::atomic<std::uint64_t> staged_crc{kNoStagedCrc};
 
   /// Failed staging attempts so far; once this reaches the configured
   /// cap the placement handler marks the file kUnplaceable so a broken
@@ -63,10 +56,11 @@ struct FileInfo {
   std::atomic<bool> prefetched{false};
 
   /// In-flight demand reads of this file (ISSUE 6). A nonzero count pins
-  /// the staged copy against eviction: the evictor claims the file, sees
-  /// the pin, and reverts — so an active read never loses its tier copy
-  /// mid-flight. Readers that pin after the evictor's check fall back to
-  /// the PFS exactly like the pre-pinning eviction race.
+  /// the staged copy against eviction: the evictor checks it under the
+  /// placement mutex and skips the file — so an active read never loses
+  /// its tier copy mid-flight. Readers that pin after the evictor's
+  /// check fall back to the PFS exactly like the pre-pinning eviction
+  /// race.
   std::atomic<int> read_pins{0};
 
   /// Latched when a retryable no-space rejection bounced this file (an
@@ -84,23 +78,22 @@ struct FileInfo {
   /// a scan can never push out a trainer's working set.
   std::atomic<bool> low_retention{false};
 
-  /// Chunk-granularity residency (ISSUE 9), lazily allocated by the
-  /// first touch of a file under pack mode and immutable-as-a-pointer
+  /// Chunk residency and claims (the staging unit), lazily allocated by
+  /// the first read or staging of the file and immutable-as-a-pointer
   /// afterwards: the read hot path does one acquire load, never an
-  /// allocation, and whole-file mode never allocates it at all. Owned
-  /// by this FileInfo (freed in the destructor).
+  /// allocation. Owned by this FileInfo (freed in the destructor).
   std::atomic<pack::ChunkMap*> chunks{nullptr};
 
   ~FileInfo() { delete chunks.load(std::memory_order_acquire); }
 
-  /// The chunk map, or nullptr while the file has never been touched
-  /// under pack mode.
+  /// The chunk map, or nullptr while the file has never been touched.
   [[nodiscard]] pack::ChunkMap* chunk_map() const noexcept {
     return chunks.load(std::memory_order_acquire);
   }
 
-  /// Get-or-create the chunk map (CAS; the loser frees its copy). Only
-  /// the pack-mode read path calls this — once per file, not per read.
+  /// Get-or-create the chunk map (CAS; the loser frees its copy) —
+  /// `chunk_bytes` 0 is whole-file mode's one-chunk map. Once per file,
+  /// not per read.
   pack::ChunkMap* EnsureChunkMap(std::uint64_t chunk_bytes) {
     pack::ChunkMap* existing = chunks.load(std::memory_order_acquire);
     if (existing != nullptr) return existing;
@@ -112,29 +105,6 @@ struct FileInfo {
     }
     delete fresh;
     return existing;
-  }
-
-  /// One-way CAS used by the read path to claim the background fetch.
-  bool TryBeginFetch() noexcept {
-    PlacementState expected = PlacementState::kPfsOnly;
-    return state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                         std::memory_order_acq_rel);
-  }
-
-  void FinishFetch(int new_level) noexcept {
-    level.store(new_level, std::memory_order_release);
-    state.store(PlacementState::kPlaced, std::memory_order_release);
-  }
-
-  void AbortFetch(bool permanently) noexcept {
-    staged_crc.store(kNoStagedCrc, std::memory_order_release);
-    state.store(permanently ? PlacementState::kUnplaceable
-                            : PlacementState::kPfsOnly,
-                std::memory_order_release);
-  }
-
-  [[nodiscard]] bool HasStagedCrc() const noexcept {
-    return staged_crc.load(std::memory_order_acquire) != kNoStagedCrc;
   }
 };
 

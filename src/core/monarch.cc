@@ -97,7 +97,7 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "demand reads served from a copy a look-ahead hint staged");
   sample("monarch.placement.chunks_copied", "", obs::MetricKind::kCounter,
          "chunks", p.chunks_copied,
-         "fixed-size chunk writes performed by the staging pipeline");
+         "tier writes performed by the staging pipeline");
   sample("monarch.placement.donated_bytes", "", obs::MetricKind::kCounter,
          "bytes", p.donated_bytes,
          "triggering-read bytes reused by staging instead of re-read");
@@ -353,11 +353,14 @@ void Monarch::CountTierFailure(const Status& status, std::string_view name,
 
 namespace {
 
-/// Alloc-free (after warmup) chunk-object name for the read hot path:
-/// one thread_local string is reused across calls, so serving a
-/// resident chunk never heap-allocates in steady state.
+/// pack::ChunkObjectName for the read hot path: a whole-file map's one
+/// chunk is the file's own name, and a pack chunk's name is built in one
+/// reused thread_local string, so serving a resident chunk never
+/// heap-allocates in steady state.
 const std::string& ChunkObjectNameTL(const std::string& file,
+                                     const pack::ChunkMap& cm,
                                      std::uint32_t chunk) {
+  if (cm.whole_file()) return file;
   thread_local std::string object;
   object.assign(file);
   object.append("#c");
@@ -453,7 +456,7 @@ class Monarch::LeaseSink {
   bool ServeChunk(Monarch& monarch, const FileInfoPtr& info,
                   pack::ChunkMap& cm, std::uint32_t c, int level,
                   std::uint64_t in_chunk, std::size_t n) {
-    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+    const std::uint64_t logical_n = cm.ChunkLogicalBytes(c);
     if (monarch.placement_->pack_codec() != nullptr) {
       // Compressed chunk: decode the whole chunk into a heap buffer the
       // view keeps alive (zero_copy() reports false — decompression is
@@ -469,7 +472,7 @@ class Monarch::LeaseSink {
     // lane checks them — a short view is corrupt, and a whole-chunk view
     // is verified against the recorded CRC when verify_on_read is set.
     auto view = monarch.hierarchy_->Level(level).ReadZeroCopy(
-        ChunkObjectNameTL(info->name, c), in_chunk, n, allow_zero_copy_);
+        ChunkObjectNameTL(info->name, cm, c), in_chunk, n, allow_zero_copy_);
     if (!view.ok()) {
       monarch.CountTierFailure(view.status(), info->name, level);
       return false;
@@ -477,7 +480,8 @@ class Monarch::LeaseSink {
     if (view.value().size() != n ||
         (monarch.config_.resilience.verify_on_read && n == logical_n &&
          Crc32c(view.value().data()) != cm.Meta(c).crc_logical)) {
-      monarch.DropCorruptChunk(info, cm, c, level);
+      monarch.placement_->DropCopy(info, DropCause::kQuarantine, c);
+      monarch.CountDegradedFallback(Fallback::kCorruption, info->name, level);
       return false;
     }
     view_ = std::move(view).value();
@@ -525,33 +529,27 @@ typename Sink::Out Monarch::ReadLadder(std::string_view name,
   info->read_pins.fetch_add(1, std::memory_order_acq_rel);
   ReadPin pin(info.get());
 
-  // Pack mode (ISSUE 9) serves the file's chunk objects; whole-file mode
-  // the one object `name`.
-  pack::ChunkMap* cm =
-      placement_->options().pack.enabled
-          ? info->EnsureChunkMap(placement_->options().pack.chunk_bytes)
-          : nullptr;
+  // The file's chunks: pack mode's fixed-size ones, or whole-file mode's
+  // one chunk, the object `name`.
+  pack::ChunkMap& cm = placement_->ChunksOf(*info);
   const std::uint64_t length =
       offset >= info->size
           ? 0
           : std::min<std::uint64_t>(sink.capacity(), info->size - offset);
   const int pfs = hierarchy_->pfs_level();
 
-  // ① The local tier the namespace assigns — the whole copy, or every
-  // chunk the request overlaps (a view stops at the first chunk's end;
-  // short views are legal, ReadZeroCopy callers loop). A tier whose
-  // circuit breaker is open is skipped without a doomed attempt.
-  int level = cm != nullptr ? cm->tier()
-                            : info->level.load(std::memory_order_acquire);
+  // ① The local tier holding every chunk the request overlaps (a view
+  // stops at the first chunk's end; short views are legal, ReadZeroCopy
+  // callers loop). A tier whose circuit breaker is open is skipped
+  // without a doomed attempt.
+  int level = cm.tier();
   std::uint64_t local = length;
-  if (Sink::kLends && cm != nullptr && length > 0) {
-    const std::uint32_t first = cm->ChunkOf(offset);
+  if (Sink::kLends && length > 0) {
+    const std::uint32_t first = cm.ChunkOf(offset);
     local = std::min<std::uint64_t>(
-        length, cm->ChunkOffset(first) + cm->ChunkLogicalBytes(first) - offset);
+        length, cm.ChunkOffset(first) + cm.ChunkLogicalBytes(first) - offset);
   }
-  const bool resident =
-      level >= 0 && level != pfs &&
-      (cm == nullptr || (length > 0 && cm->RangeResident(offset, local)));
+  const bool resident = level >= 0 && cm.RangeResident(offset, local);
   bool served = false;
   if (resident && hierarchy_->NextServingLevel(level) != level) {
     CountDegradedFallback(Fallback::kCircuitOpen, name, level);
@@ -577,30 +575,17 @@ typename Sink::Out Monarch::ReadLadder(std::string_view name,
 }
 
 template <typename Sink>
-bool Monarch::ServeLocal(const FileInfoPtr& info, pack::ChunkMap* cm,
+bool Monarch::ServeLocal(const FileInfoPtr& info, pack::ChunkMap& cm,
                          int level, std::uint64_t offset,
                          std::uint64_t length, Sink& sink) {
-  if (cm == nullptr) {
-    const Status read = sink.Read(hierarchy_->Level(level), info->name, offset);
-    if (!read.ok()) {
-      CountTierFailure(read, info->name, level);
-      return false;
-    }
-    if (VerifyTierRead(info, level, offset, sink.data(), sink.data().size())) {
-      return true;
-    }
-    // The staged copy is corrupt and has been quarantined.
-    CountDegradedFallback(Fallback::kCorruption, info->name, level);
-    return false;
-  }
   // Chunk by chunk; a failed chunk is counted inside and the whole
   // request goes on down the ladder.
   for (std::uint64_t pos = offset, end = offset + length; pos < end;) {
-    const std::uint32_t c = cm->ChunkOf(pos);
-    const std::uint64_t in_chunk = pos - cm->ChunkOffset(c);
+    const std::uint32_t c = cm.ChunkOf(pos);
+    const std::uint64_t in_chunk = pos - cm.ChunkOffset(c);
     const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        cm->ChunkLogicalBytes(c) - in_chunk, end - pos));
-    if (!sink.ServeChunk(*this, info, *cm, c, level, in_chunk, n)) {
+        cm.ChunkLogicalBytes(c) - in_chunk, end - pos));
+    if (!sink.ServeChunk(*this, info, cm, c, level, in_chunk, n)) {
       return false;
     }
     pos += n;
@@ -609,19 +594,19 @@ bool Monarch::ServeLocal(const FileInfoPtr& info, pack::ChunkMap* cm,
 }
 
 template <typename Sink>
-bool Monarch::TryPeerRung(const FileInfo& info, const pack::ChunkMap* cm,
+bool Monarch::TryPeerRung(const FileInfo& info, const pack::ChunkMap& cm,
                           std::uint64_t offset, std::uint64_t length,
                           Sink& sink) {
   const int peer = hierarchy_->peer_level();
   if (peer < 0 || config_.peer_view == nullptr) return false;
-  // Peers serve a chunked file only whole, verified against the pack
-  // index's per-file CRC: a loose file has no such CRC, and a partial
-  // read of a multi-chunk file would drag the whole file across the
-  // fabric to serve a slice.
+  // A whole-file copy is read in place. Peers serve a pack file only
+  // whole, verified against the pack index's per-file CRC: a loose file
+  // has no such CRC, and a partial read of a multi-chunk file would drag
+  // the whole file across the fabric to serve a slice.
   const pack::PackEntry* entry = nullptr;
-  if (cm != nullptr) {
-    if (pack_index_ == nullptr || length == 0 || cm->ChunkOf(offset) != 0 ||
-        cm->ChunkOf(offset + length - 1) + 1 != cm->num_chunks()) {
+  if (!cm.whole_file()) {
+    if (pack_index_ == nullptr || length == 0 || cm.ChunkOf(offset) != 0 ||
+        cm.ChunkOf(offset + length - 1) + 1 != cm.num_chunks()) {
       return false;
     }
     entry = pack_index_->Find(info.name);
@@ -637,7 +622,7 @@ bool Monarch::TryPeerRung(const FileInfo& info, const pack::ChunkMap* cm,
   Status status = Status::Ok();
   if (entry == nullptr) {
     status = sink.Read(driver, info.name, offset);
-  } else if (auto whole = FetchPeerFile(info, *cm, entry->crc32c, driver);
+  } else if (auto whole = FetchPeerFile(info, cm, entry->crc32c, driver);
              whole.ok()) {
     sink.Adopt(std::move(whole).value(), offset,
                static_cast<std::size_t>(length));
@@ -672,11 +657,10 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
                                  std::uint32_t chunk, int level,
                                  std::uint64_t offset_in_chunk,
                                  std::span<std::byte> dst) {
-  const pack::ChunkMap::ChunkMeta meta = cm.Meta(chunk);
-  const std::uint32_t logical_n = cm.ChunkLogicalBytes(chunk);
+  const std::uint64_t logical_n = cm.ChunkLogicalBytes(chunk);
   StorageDriver& tier = hierarchy_->Level(level);
   const pack::Codec* codec = placement_->pack_codec();
-  const std::string& object = ChunkObjectNameTL(info->name, chunk);
+  const std::string& object = ChunkObjectNameTL(info->name, cm, chunk);
 
   bool corrupt = false;
   bool served = false;
@@ -693,7 +677,8 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
       corrupt = true;
     } else if (config_.resilience.verify_on_read && offset_in_chunk == 0 &&
                dst.size() == logical_n &&
-               Crc32c(std::span<const std::byte>(dst)) != meta.crc_logical) {
+               Crc32c(std::span<const std::byte>(dst)) !=
+                   cm.Meta(chunk).crc_logical) {
       corrupt = true;
     } else {
       served = true;
@@ -706,6 +691,7 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
     // verify the logical side.
     thread_local std::vector<std::byte> stored_scratch;
     thread_local std::vector<std::byte> logical_scratch;
+    const pack::ChunkMap::ChunkMeta meta = cm.Meta(chunk);
     stored_scratch.resize(meta.stored_bytes);
     auto read = tier.Read(object, 0, stored_scratch);
     if (!read.ok()) {
@@ -739,30 +725,17 @@ bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
   if (served) return true;
 
   if (corrupt) {
-    DropCorruptChunk(info, cm, chunk, level);
+    // Drop the bad copy so a later read re-stages it from the
+    // authoritative bytes — corruption degrades to PFS performance,
+    // never wrong bytes.
+    placement_->DropCopy(info, DropCause::kQuarantine, chunk);
+    CountDegradedFallback(Fallback::kCorruption, info->name, level);
   } else {
     // kNotFound is an eviction race (the chunk vanished between the
-    // residency check and the read): same accounting as the whole-file
-    // fallback.
+    // residency check and the read), anything else a tier error.
     CountTierFailure(error, info->name, level);
   }
   return false;
-}
-
-void Monarch::DropCorruptChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
-                               std::uint32_t chunk, int level) {
-  // Drop the bad copy so a later read re-stages it from the
-  // authoritative extent bytes — corruption degrades to PFS
-  // performance, never wrong bytes.
-  StorageDriver& tier = hierarchy_->Level(level);
-  MLOG_WARN << "staged chunk '" << ChunkObjectNameTL(info->name, chunk)
-            << "' on tier '" << tier.name()
-            << "' failed verification; dropping it";
-  {
-    std::lock_guard lock(cm.placement_mutex());
-    (void)placement_->DropChunkLocked(*info, cm, chunk, tier);
-  }
-  CountDegradedFallback(Fallback::kCorruption, info->name, level);
 }
 
 Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
@@ -779,7 +752,7 @@ Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
   for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
     const std::span<std::byte> chunk(logical->data() + cm.ChunkOffset(c),
                                      cm.ChunkLogicalBytes(c));
-    const std::string& object = ChunkObjectNameTL(info.name, c);
+    const std::string& object = ChunkObjectNameTL(info.name, cm, c);
     if (codec == nullptr) {
       MONARCH_ASSIGN_OR_RETURN(const std::size_t n,
                                peer.Read(object, 0, chunk));
@@ -802,7 +775,7 @@ Result<Monarch::PeerFile> Monarch::FetchPeerFile(const FileInfo& info,
   return PeerFile(std::move(logical));
 }
 
-void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
+void Monarch::FinishRead(const FileInfoPtr& info, const pack::ChunkMap& cm,
                          std::string_view name, int level,
                          std::uint64_t offset,
                          std::span<const std::byte> served) {
@@ -813,24 +786,22 @@ void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
   counters.reads.fetch_add(1, std::memory_order_relaxed);
   counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
 
-  if (cm != nullptr) {
+  if (!cm.whole_file()) {
     (fetched ? chunk_misses_ : chunk_hits_)
         .fetch_add(1, std::memory_order_relaxed);
     obs::Counter* outcome =
         fetched ? chunk_misses_counter_ : chunk_hits_counter_;
     if (outcome != nullptr) outcome->Increment();
   }
-  // First demand read of a copy that a look-ahead hint staged: the
-  // prefetch paid off before demand ever touched the PFS (a chunked file
-  // counts only when its local chunks served the read).
-  if (level != pfs && (cm == nullptr || !fetched) &&
-      info->prefetched.exchange(false)) {
+  // First demand read served by a copy that a look-ahead hint staged:
+  // the prefetch paid off before demand ever touched the PFS.
+  if (!fetched && info->prefetched.exchange(false)) {
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // First access to a PFS-resident file: claim it and stage a copy in the
-  // background (③/④) — the whole file, donating the bytes an offset-0
-  // read already pulled, or in pack mode the chunks the read touched.
+  // First access to a PFS-resident file: claim the chunks the read
+  // touched — the whole file in whole-file mode — and stage them in the
+  // background (③/④), donating the bytes the read already pulled.
   // Shard ownership (ISSUE 4): with a peer view installed, each node
   // stages only the files it owns — demand reads of peer-owned files go
   // owner-first / PFS-second and never trigger local staging. A read
@@ -858,24 +829,6 @@ void Monarch::FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
   if (offset == 0 && hints_active_.load(std::memory_order_acquire)) {
     AdvancePrefetchCursor(name);
   }
-}
-
-bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
-                             std::uint64_t offset,
-                             std::span<const std::byte> data, std::size_t n) {
-  // Only whole-file reads can be checked against the staged-copy CRC —
-  // chunked reads would need per-block checksums. That covers the dlsim
-  // trainer (sample == file) and any full-fetch read path.
-  if (!config_.resilience.verify_on_read) return true;
-  if (offset != 0 || n != info->size || !info->HasStagedCrc()) return true;
-  const std::uint64_t expected =
-      info->staged_crc.load(std::memory_order_acquire);
-  if (Crc32c(data.subspan(0, n)) == expected) return true;
-  MLOG_WARN << "read of '" << info->name << "' from tier '"
-            << hierarchy_->Level(level).name()
-            << "' failed CRC verification; quarantining the copy";
-  placement_->DropCopy(info, DropCause::kQuarantine);
-  return false;
 }
 
 void Monarch::CountDegradedFallback(Fallback cause, std::string_view name,

@@ -13,9 +13,10 @@
 // Lifecycle: Create() builds the hierarchy and populates the metadata
 // container by walking the PFS dataset directory (the timed metadata-
 // initialization phase). Reads then flow per §III-B: look up the file's
-// current level, serve from that tier, and — first time a file is seen —
-// kick a background task that copies the whole file to the best tier
-// with room. Shutdown() (or the destructor) drains in-flight staging.
+// resident chunks, serve from their tier, and — first time a file is
+// seen — kick a background task that copies the whole file (or, in pack
+// mode, the chunks the read touched) to the best tier with room.
+// Shutdown() (or the destructor) drains in-flight staging.
 #pragma once
 
 #include <array>
@@ -302,23 +303,23 @@ class Monarch {
   typename Sink::Out ReadLadder(std::string_view name, std::uint64_t offset,
                                 Sink& sink);
 
-  /// The local-tier rung at `level`: the one object `name` in whole-file
-  /// mode (CRC-checked by VerifyTierRead), or the resident chunks of
-  /// [offset, offset + length) in pack mode (`cm` non-null). Counts the
+  /// The local-tier rung at `level`: the resident chunks of [offset,
+  /// offset + length), each served by ServeResidentChunk. Counts the
   /// fallback cause and returns false when the ladder must go on.
   template <typename Sink>
-  bool ServeLocal(const FileInfoPtr& info, pack::ChunkMap* cm, int level,
+  bool ServeLocal(const FileInfoPtr& info, pack::ChunkMap& cm, int level,
                   std::uint64_t offset, std::uint64_t length, Sink& sink);
 
   /// The peer rung: when another node advertises a copy of `info` and
   /// the peer breaker admits requests, serve [offset, offset + length)
-  /// from it into `sink`. In pack mode only packed files read whole (a
-  /// whole-file read, or any read of a single-chunk file) qualify, fetched
-  /// and verified by FetchPeerFile. Returns false — after counting an
-  /// open breaker as "circuit_open" and a failed fetch as "peer_miss"
-  /// (kNotFound) or "peer_error" — and the caller continues to the PFS.
+  /// from it into `sink`. A whole-file copy is read in place; in pack
+  /// mode only packed files read whole (a whole-file read, or any read of
+  /// a single-chunk file) qualify, fetched and verified by FetchPeerFile.
+  /// Returns false — after counting an open breaker as "circuit_open"
+  /// and a failed fetch as "peer_miss" (kNotFound) or "peer_error" — and
+  /// the caller continues to the PFS.
   template <typename Sink>
-  bool TryPeerRung(const FileInfo& info, const pack::ChunkMap* cm,
+  bool TryPeerRung(const FileInfo& info, const pack::ChunkMap& cm,
                    std::uint64_t offset, std::uint64_t length, Sink& sink);
 
   /// Head of the read path: look up (or lazily register) the file, stamp
@@ -326,17 +327,12 @@ class Monarch {
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Tail of the read path, given the bytes `served` from `level`: serve
-  /// counters, chunk hit/miss (pack mode, `cm` non-null) and prefetch-hit
-  /// bookkeeping, the staging trigger for a read the peer or the PFS
-  /// served, and the prefetch-cursor advance.
-  void FinishRead(const FileInfoPtr& info, pack::ChunkMap* cm,
+  /// counters, chunk hit/miss (pack mode) and prefetch-hit bookkeeping,
+  /// the staging trigger for a read the peer or the PFS served, and the
+  /// prefetch-cursor advance.
+  void FinishRead(const FileInfoPtr& info, const pack::ChunkMap& cm,
                   std::string_view name, int level, std::uint64_t offset,
                   std::span<const std::byte> served);
-
-  /// Full-file tier reads against a recorded CRC when verify_on_read is
-  /// set. Returns false when the copy is corrupt (and quarantines it).
-  bool VerifyTierRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                      std::span<const std::byte> data, std::size_t n);
 
   /// Why a rung of the degradation ladder could not serve a read (the
   /// `cause` of the `monarch.read.fallback` trace event).
@@ -368,19 +364,16 @@ class Monarch {
 
   /// Serve one resident chunk slice (`dst` = logical bytes at
   /// `offset_in_chunk`) from the tier at `level`, decoding when the
-  /// codec is active. Verifies the stored-side CRC before decode and
-  /// the logical-side CRC after; a bad copy is dropped (so staging can
-  /// retry it) and counted as a degraded fallback. Returns false when
-  /// the caller must re-read from the PFS.
+  /// codec is active. A short read is corrupt; with a codec the stored-
+  /// side CRC is verified before decode and the logical-side CRC after,
+  /// without one a whole-chunk read is checked against the logical CRC
+  /// when verify_on_read is set. A bad copy is quarantined (so staging
+  /// can retry it) and counted as a degraded fallback. Returns false
+  /// when the caller must re-read from the PFS.
   bool ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
                           std::uint32_t chunk, int level,
                           std::uint64_t offset_in_chunk,
                           std::span<std::byte> dst);
-
-  /// Drop resident chunk `chunk` on `level`, whose copy failed
-  /// verification (so staging can retry it), and count the corruption.
-  void DropCorruptChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
-                        std::uint32_t chunk, int level);
 
   /// A demand read of `name` landed: advance the prefetch cursor past it
   /// and top up the look-ahead window with new PREFETCH-lane claims.

@@ -25,14 +25,6 @@ qos::TenantContext SnapshotTenant() {
   return ambient != nullptr ? *ambient : qos::TenantContext{};
 }
 
-Status ShortPfsRead(const std::string& name, std::uint64_t offset,
-                    std::size_t got, std::size_t want) {
-  return InternalError("short PFS read of '" + name + "' at " +
-                       std::to_string(offset) + ": got " +
-                       std::to_string(got) + " of " + std::to_string(want) +
-                       " bytes");
-}
-
 }  // namespace
 
 int PlacementHandler::TaskClass(const StagingTask& task) noexcept {
@@ -42,18 +34,16 @@ int PlacementHandler::TaskClass(const StagingTask& task) noexcept {
   return qos::ClassIndex(task.tenant.io_class);
 }
 
-double PlacementHandler::TaskCost(const StagingTask& task) const noexcept {
-  if (task.chunks.empty()) {
-    return static_cast<double>(task.file->size);
-  }
-  return static_cast<double>(task.chunks.size()) *
-         static_cast<double>(
-             std::max<std::uint64_t>(1, options_.pack.chunk_bytes));
+std::uint64_t PlacementHandler::TaskBytes(const StagingTask& task) {
+  const pack::ChunkMap& cm = *task.file->chunk_map();
+  std::uint64_t bytes = 0;
+  for (const std::uint32_t c : task.chunks) bytes += cm.ChunkLogicalBytes(c);
+  return bytes;
 }
 
 void PlacementHandler::PushLocked(StagingTask task) {
   const int cls = TaskClass(task);
-  const double cost = TaskCost(task);
+  const auto cost = static_cast<double>(TaskBytes(task));
   queue_.Push(cls, cost, std::move(task));
 }
 
@@ -162,48 +152,71 @@ PlacementHandler::~PlacementHandler() {
 
 bool PlacementHandler::Stage(const FileInfoPtr& file,
                              const StageRequest& request) {
+  // A file past the failure cap (or unplaceable) claims no more; its
+  // resident chunks keep serving.
+  if (file->state.load(std::memory_order_acquire) ==
+          PlacementState::kUnplaceable ||
+      file->fetch_failures.load(std::memory_order_acquire) >=
+          resilience_.max_placement_attempts) {
+    return false;
+  }
+  pack::ChunkMap& cm = ChunksOf(*file);
+  const std::uint64_t end =
+      request.offset >= file->size
+          ? request.offset
+          : request.offset +
+                std::min(request.length, file->size - request.offset);
+  // Claim the chunks the range overlaps, so PFS bytes scale with bytes
+  // touched — in whole-file mode the one chunk, the §III-B full fetch on
+  // a partial read — or, with fetch_full_file_on_partial_read off, only
+  // the chunks it covers in full. An empty file's chunk is covered by
+  // any read of it.
   StagingTask task;
-  if (options_.pack.enabled) {
-    // Pack mode claims the chunks the range overlaps, so PFS bytes scale
-    // with bytes touched. A file past the failure cap claims no more;
-    // its resident chunks keep serving.
-    if (request.offset >= file->size || request.length == 0 ||
-        file->fetch_failures.load(std::memory_order_acquire) >=
-            resilience_.max_placement_attempts) {
-      return false;
+  for (std::uint32_t c = cm.ChunkOf(request.offset);
+       c < cm.num_chunks() && cm.ChunkOffset(c) <= end; ++c) {
+    const std::uint64_t from = cm.ChunkOffset(c);
+    const std::uint64_t to = from + cm.ChunkLogicalBytes(c);
+    const bool covered = from >= request.offset && to <= end;
+    const bool overlaps = from < end && to > request.offset;
+    if ((covered ||
+         (overlaps && options_.fetch_full_file_on_partial_read)) &&
+        cm.TryClaim(c)) {
+      task.chunks.push_back(c);
     }
-    pack::ChunkMap* cm = file->EnsureChunkMap(options_.pack.chunk_bytes);
-    const std::uint64_t end =
-        request.offset + std::min(request.length, file->size - request.offset);
-    for (std::uint32_t c = cm->ChunkOf(request.offset);
-         c <= cm->ChunkOf(end - 1); ++c) {
-      if (cm->TryClaim(c)) task.chunks.push_back(c);
+  }
+  if (task.chunks.empty()) {
+    // Someone else holds the claims — possibly a hint still queued
+    // behind other speculative work. Demand has overtaken it: move it to
+    // the demand lane.
+    if (request.lane == StagingLane::kDemand && cm.Claims() > 0) {
+      PromoteToDemand(file);
     }
-    if (task.chunks.empty()) return false;
-  } else {
-    // The §III-B partial-read optimisation fetches the whole file in the
-    // background (disabled => only full reads stage).
-    if ((request.offset != 0 || request.length < file->size) &&
-        !options_.fetch_full_file_on_partial_read) {
-      return false;
-    }
-    if (!file->TryBeginFetch()) {
-      // Someone else holds the fetch — possibly a hint still queued
-      // behind other speculative work. Demand has overtaken it: move it
-      // to the demand lane.
-      if (request.lane == StagingLane::kDemand &&
-          file->state.load(std::memory_order_acquire) ==
-              PlacementState::kFetching) {
-        PromoteToDemand(file);
-      }
-      return false;
-    }
-    // The task owns the bytes the read path already fetched, avoiding a
-    // second PFS read (§III-B, ③/④); they are copied only once the claim
-    // is won, never on the per-read hot path.
-    if (request.offset == 0 && !request.served.empty()) {
-      task.content.emplace(request.served.begin(), request.served.end());
-    }
+    return false;
+  }
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    Settle(*file, cm, /*permanently=*/false);
+  }
+  // The task owns the bytes the read path already fetched, from the first
+  // claimed chunk that starts inside them on, avoiding a second PFS read
+  // (§III-B, ③/④); they are copied only once a claim is won, never on
+  // the per-read hot path.
+  const auto first =
+      std::find_if(task.chunks.begin(), task.chunks.end(),
+                   [&](std::uint32_t c) {
+                     return cm.ChunkOffset(c) >= request.offset;
+                   });
+  const std::uint64_t served_end = request.offset + request.served.size();
+  if (first != task.chunks.end() && cm.ChunkOffset(*first) < served_end) {
+    const std::uint32_t last = task.chunks.back();
+    const std::uint64_t from = cm.ChunkOffset(*first);
+    const std::uint64_t to = std::min(
+        served_end, cm.ChunkOffset(last) + cm.ChunkLogicalBytes(last));
+    const std::span<const std::byte> donated = request.served.subspan(
+        static_cast<std::size_t>(from - request.offset),
+        static_cast<std::size_t>(to - from));
+    task.content.assign(donated.begin(), donated.end());
+    task.content_offset = from;
   }
   task.file = file;
   task.lane = request.lane;
@@ -230,14 +243,29 @@ bool PlacementHandler::Stage(const FileInfoPtr& file,
 
 void PlacementHandler::ReleaseClaims(const StagingTask& task,
                                      bool permanently) {
-  if (task.chunks.empty()) {
-    task.file->AbortFetch(permanently);
+  pack::ChunkMap& cm = *task.file->chunk_map();
+  for (const std::uint32_t c : task.chunks) cm.ReleaseClaim(c);
+  std::lock_guard lock(cm.placement_mutex());
+  Settle(*task.file, cm, permanently);
+}
+
+void PlacementHandler::Settle(FileInfo& file, pack::ChunkMap& cm,
+                              bool permanently) {
+  if (cm.ResidentCount() > 0) {
+    file.level.store(cm.tier(), std::memory_order_release);
+    file.state.store(PlacementState::kPlaced, std::memory_order_release);
     return;
   }
-  pack::ChunkMap* cm = task.file->chunk_map();
-  for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
-  std::lock_guard lock(cm->placement_mutex());
-  cm->MaybeResetTier();
+  cm.MaybeResetTier();
+  file.level.store(hierarchy_.pfs_level(), std::memory_order_release);
+  PlacementState state = PlacementState::kPfsOnly;
+  if (permanently || file.state.load(std::memory_order_acquire) ==
+                         PlacementState::kUnplaceable) {
+    state = PlacementState::kUnplaceable;
+  } else if (cm.Claims() > 0) {
+    state = PlacementState::kFetching;
+  }
+  file.state.store(state, std::memory_order_release);
 }
 
 bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
@@ -318,7 +346,7 @@ void PlacementHandler::WorkerLoop() {
 }
 
 bool PlacementHandler::AdmitInflight(int level, StagingTask& task) {
-  const std::uint64_t size = task.file->size;
+  const std::uint64_t size = TaskBytes(task);
   const std::uint64_t cap = options_.tier_inflight_cap_bytes;
   std::lock_guard lock(mu_);
   auto& inflight = inflight_bytes_[static_cast<std::size_t>(level)];
@@ -351,7 +379,7 @@ void PlacementHandler::FinishInflight(int level, std::uint64_t size) {
 void PlacementHandler::RecordStagingFailure(const StagingTask& task) {
   const FileInfoPtr& file = task.file;
   failed_.fetch_add(1, std::memory_order_relaxed);
-  if (!task.chunks.empty()) {
+  if (!file->chunk_map()->whole_file()) {
     chunk_failures_.fetch_add(1, std::memory_order_relaxed);
   }
   file->prefetched.store(false, std::memory_order_relaxed);
@@ -361,7 +389,7 @@ void PlacementHandler::RecordStagingFailure(const StagingTask& task) {
   if (!abandon) {
     retries_.fetch_add(1, std::memory_order_relaxed);
   } else if (failures == std::max(1, resilience_.max_placement_attempts)) {
-    // Only the attempt that reaches the cap abandons the file: a chunked
+    // Only the attempt that reaches the cap abandons the file: a pack
     // file's tasks run concurrently, and one already in flight may fail
     // past the cap.
     abandoned_.fetch_add(1, std::memory_order_relaxed);
@@ -377,75 +405,51 @@ void PlacementHandler::RecordStagingFailure(const StagingTask& task) {
   ReleaseClaims(task, /*permanently=*/abandon);
 }
 
-Status PlacementHandler::StreamCopy(
-    const FileInfoPtr& file, const std::optional<std::vector<std::byte>>& prefix,
-    StorageDriver& destination, std::uint32_t& crc) {
-  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
-  std::uint64_t offset = 0;
-  crc = 0;
+std::span<const std::byte> PlacementHandler::DonatedPrefix(
+    const StagingTask& task, const pack::ChunkMap& cm, std::uint32_t c) {
+  const std::uint64_t from = cm.ChunkOffset(c);
+  const std::uint64_t end = task.content_offset + task.content.size();
+  if (from < task.content_offset || from >= end) return {};
+  return std::span<const std::byte>(task.content)
+      .subspan(static_cast<std::size_t>(from - task.content_offset),
+               static_cast<std::size_t>(
+                   std::min(end - from, cm.ChunkLogicalBytes(c))));
+}
 
-  // Donated leading bytes: the triggering partial read already paid the
-  // PFS for these, so they enter the pipeline straight from memory.
-  if (prefix.has_value() && !prefix->empty()) {
-    const std::span<const std::byte> donated(*prefix);
-    while (offset < donated.size()) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk_bytes, donated.size() - offset));
-      const auto slice = donated.subspan(static_cast<std::size_t>(offset), n);
-      crc = Crc32c(slice, crc);
-      MONARCH_RETURN_IF_ERROR(destination.WriteAt(file->name, offset, slice));
-      offset += n;
-      chunks_copied_.fetch_add(1, std::memory_order_relaxed);
-    }
-    donated_bytes_.fetch_add(donated.size(), std::memory_order_relaxed);
-  }
-
-  // Stream the remainder from the PFS through one pooled buffer — peak
-  // staging memory is the pool budget, never the file size.
-  if (offset < file->size) {
-    BufferPool::Lease lease = pool_.Acquire();
-    while (offset < file->size) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk_bytes, file->size - offset));
-      const std::span<std::byte> buffer(lease.bytes().data(), n);
-      auto read = hierarchy_.Pfs().Read(file->name, offset, buffer);
-      if (!read.ok()) return read.status();
-      if (read.value() != n) {
-        return ShortPfsRead(file->name, offset, read.value(), n);
-      }
-      crc = Crc32c(buffer, crc);
-      MONARCH_RETURN_IF_ERROR(destination.WriteAt(file->name, offset, buffer));
-      offset += n;
-      chunks_copied_.fetch_add(1, std::memory_order_relaxed);
-    }
+Status PlacementHandler::ReadPfs(const std::string& name, std::uint64_t offset,
+                                 std::span<std::byte> dst) {
+  auto read = hierarchy_.Pfs().Read(name, offset, dst);
+  if (!read.ok()) return read.status();
+  if (read.value() != dst.size()) {
+    return InternalError("short PFS read of '" + name + "' at " +
+                         std::to_string(offset) + ": got " +
+                         std::to_string(read.value()) + " of " +
+                         std::to_string(dst.size()) + " bytes");
   }
   return Status::Ok();
 }
 
-bool PlacementHandler::VerifyStagedCopy(const FileInfoPtr& file,
-                                        StorageDriver& destination,
-                                        std::uint32_t crc) {
-  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
-  BufferPool::Lease lease = pool_.Acquire();
-  std::uint32_t readback_crc = 0;
-  std::uint64_t offset = 0;
-  while (offset < file->size) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(chunk_bytes, file->size - offset));
-    const std::span<std::byte> buffer(lease.bytes().data(), n);
-    auto read = destination.Read(file->name, offset, buffer);
-    if (!read.ok() || read.value() != n) return false;
-    readback_crc = Crc32c(buffer, readback_crc);
-    offset += n;
+bool PlacementHandler::ReadBackMatches(StorageDriver& tier,
+                                       const std::string& object,
+                                       std::uint64_t bytes, std::uint32_t crc,
+                                       std::span<std::byte> buffer) {
+  std::uint32_t readback = 0;
+  for (std::uint64_t pos = 0; pos < bytes;) {
+    const std::span<std::byte> slice = buffer.first(static_cast<std::size_t>(
+        std::min<std::uint64_t>(buffer.size(), bytes - pos)));
+    auto read = tier.Read(object, pos, slice);
+    if (!read.ok() || read.value() != slice.size()) return false;
+    readback = Crc32c(slice, readback);
+    pos += slice.size();
   }
-  return readback_crc == crc;
+  return readback == crc;
 }
 
 void PlacementHandler::Place(StagingTask task) {
   // Own reference, not an alias into the task: parking moves the task
   // into `deferred_`, which would leave `task.file` null.
   const FileInfoPtr file = task.file;
-  const bool chunked = !task.chunks.empty();
+  const bool chunked = !file->chunk_map()->whole_file();
   const bool prefetch = task.lane == StagingLane::kPrefetch;
   // Spans the whole schedule→complete staging of one task. Args are only
   // rendered when tracing is live (active() gate).
@@ -477,7 +481,7 @@ void PlacementHandler::Place(StagingTask task) {
     return;
   }
 
-  const CopyResult result = chunked ? CopyChunks(task) : CopyFile(task);
+  const CopyResult result = CopyChunks(task);
   if (result.kind == CopyResult::kPublished ||
       result.kind == CopyResult::kParked) {
     return;
@@ -496,8 +500,8 @@ void PlacementHandler::Place(StagingTask task) {
     // A prefetch rejection is never permanent: a later demand read may
     // still place the file. Under eviction headroom is dynamic — the
     // rejection only means the policy protected every current resident
-    // (or lost the claim races) — and a chunked file may fit chunk by
-    // chunk later, so both stay retryable, with stage_refused latched so
+    // (or lost the claim races) — and a pack file may fit chunk by chunk
+    // later, so both stay retryable, with stage_refused latched so
     // chunked readers retry once per file open instead of once per
     // chunk. Otherwise no tier can hold the file and nothing will ever
     // be evicted: it stays PFS-resident for the whole job (the
@@ -527,146 +531,165 @@ void PlacementHandler::Place(StagingTask task) {
   RecordStagingFailure(task);
 }
 
-PlacementHandler::CopyResult PlacementHandler::CopyFile(StagingTask& task) {
+PlacementHandler::CopyResult PlacementHandler::CopyChunks(StagingTask& task) {
+  // Own references, not aliases into the task: parking moves the task
+  // into `deferred_`.
   const FileInfoPtr file = task.file;
-  // 1. Choose (and reserve) the destination level, evicting when no
-  // tier has room and the lane may.
-  const std::optional<int> level = ReserveSpace(file, task.lane, file->size);
-  if (!level.has_value()) return {CopyResult::kNoSpace};
-  StorageDriver& destination = hierarchy_.Level(*level);
-
-  // 2. Per-tier staging-bandwidth cap: a prefetch copy parks while the
-  // tier is saturated (any completion on the tier un-parks it); demand
-  // copies are exempt so a read-triggered stage never waits here.
-  if (!AdmitInflight(*level, task)) {
-    destination.Release(file->size);
-    return {CopyResult::kParked};
-  }
-
-  // 3. Copy. A full-content task (the triggering read covered the whole
-  // file) is a single put of bytes already in memory; anything else is
-  // the chunked pipeline: donated prefix first, then streamed PFS reads.
-  std::uint32_t crc = 0;
-  Status written = Status::Ok();
-  if (task.content.has_value() && task.content->size() == file->size) {
-    crc = Crc32c(*task.content);
-    written = destination.Write(file->name, *task.content);
-  } else {
-    written = StreamCopy(file, task.content, destination, crc);
-  }
-
-  // 4. Optionally read the copy back (chunked, bounded memory) and prove
-  // the bytes landed intact — a corrupted staged copy must degrade to a
-  // failed placement, never get published as a serving replica.
-  CopyResult result{CopyResult::kPublished};
-  if (!written.ok()) {
-    result = {CopyResult::kFailed, written};
-  } else if (resilience_.verify_staged_writes &&
-             !VerifyStagedCopy(file, destination, crc)) {
-    result = {CopyResult::kCorrupt,
-              DataLossError("staged copy failed verification"),
-              destination.name()};
-  }
-  if (result.kind != CopyResult::kPublished) {
-    // Remove a partial or corrupt copy so a retry starts clean and
-    // readers never see it. We still hold the Reserve, so the quota
-    // comes back whether or not the delete found anything on disk.
-    (void)destination.Delete(file->name);
-    destination.Release(file->size);
-    FinishInflight(*level, file->size);
-    return result;
-  }
-
-  // Record the checksum before publishing the level so any reader that
-  // observes kPlaced also observes the CRC it may verify against.
-  file->staged_crc.store(crc, std::memory_order_release);
-  PublishFile(*file, *level, task);
-  // Advertise the copy to the cluster once it is actually readable.
-  if (peer_view_ != nullptr) peer_view_->OnStaged(file->name, *level);
-  bytes_staged_.fetch_add(file->size, std::memory_order_relaxed);
-  FinishInflight(*level, file->size);
-  return result;
-}
-
-PlacementHandler::CopyResult PlacementHandler::CopyChunks(
-    const StagingTask& task) {
-  const FileInfoPtr& file = task.file;
   pack::ChunkMap& cm = *file->chunk_map();  // claims imply a map
-  // One pooled lease carries the logical bytes of every chunk in the
-  // task (pack.chunk_bytes is clamped to the pool's chunk size); the
-  // codec output and verification scratch are reused across chunks.
-  BufferPool::Lease lease = pool_.Acquire();
-  std::vector<std::byte> encoded;
-  std::vector<std::byte> readback;
+  const std::uint64_t task_bytes = TaskBytes(task);
+  // One pooled buffer carries the task's PFS reads and read-backs — peak
+  // staging memory is the pool budget, never the file size. It is taken
+  // on first use: a wholly donated chunk needs none before its read-back.
+  std::optional<BufferPool::Lease> lease;
+  const auto buffer = [&]() -> std::span<std::byte> {
+    if (!lease.has_value()) lease.emplace(pool_.Acquire());
+    return lease->bytes();
+  };
+  const std::uint64_t slice_bytes = pool_.chunk_bytes();
+  std::vector<std::byte> encoded;  // codec output, reused across chunks
+  int admitted = -1;  // the level charged with the task's in-flight bytes
+  const auto finish = [&](CopyResult result) {
+    if (admitted >= 0) FinishInflight(admitted, task_bytes);
+    return result;
+  };
   for (std::size_t next = 0; next < task.chunks.size(); ++next) {
     const std::uint32_t c = task.chunks[next];
     const std::uint64_t offset = cm.ChunkOffset(c);
-    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
-    const std::span<std::byte> logical(lease.bytes().data(), logical_n);
-    auto read = hierarchy_.Pfs().Read(file->name, offset, logical);
-    if (!read.ok()) return {CopyResult::kFailed, read.status(), {}, next};
-    if (read.value() != logical_n) {
-      return {CopyResult::kFailed,
-              ShortPfsRead(file->name, offset, read.value(), logical_n), {},
-              next};
-    }
+    const std::uint64_t logical_n = cm.ChunkLogicalBytes(c);
+    const std::span<const std::byte> donated = DonatedPrefix(task, cm, c);
+    const auto fail = [&](CopyResult::Kind kind, Status error = {}) {
+      return finish({kind, std::move(error), {}, next});
+    };
     pack::ChunkMap::ChunkMeta meta;
-    meta.crc_logical = Crc32c(logical);
-    std::span<const std::byte> stored(logical);
-    if (codec_ != nullptr) {
-      const Status encoded_ok = codec_->Encode(logical, encoded);
-      if (!encoded_ok.ok()) return {CopyResult::kFailed, encoded_ok, {}, next};
-      stored = encoded;
-    }
-    meta.stored_bytes = static_cast<std::uint32_t>(stored.size());
-    meta.crc_stored = Crc32c(stored);
-
-    const std::optional<int> level =
-        ReserveChunk(file, cm, stored.size(), task.lane);
-    if (!level.has_value()) return {CopyResult::kNoSpace, {}, {}, next};
-    StorageDriver& tier = hierarchy_.Level(*level);
-    const std::string object = pack::ChunkObjectName(file->name, c);
-    CopyResult result{CopyResult::kPublished};
-    if (Status written = tier.Write(object, stored); !written.ok()) {
-      result = {CopyResult::kFailed, written, {}, next};
-    } else if (resilience_.verify_staged_writes) {
-      readback.resize(stored.size());
-      auto rb = tier.Read(object, 0, readback);
-      if (!rb.ok() || rb.value() != stored.size() ||
-          Crc32c(std::span<const std::byte>(readback)) != meta.crc_stored) {
-        result = {CopyResult::kCorrupt,
-                  DataLossError("staged chunk failed verification: " + object),
-                  tier.name(), next};
+    meta.stored_bytes = logical_n;
+    std::optional<int> level;
+    if (codec_ == nullptr) {
+      // 1. The stored size is the logical size: reserve first, so a tier
+      // with no room costs no PFS read.
+      level = ReserveChunk(file, cm, logical_n, task.lane);
+      if (!level.has_value()) return fail(CopyResult::kNoSpace);
+    } else {
+      // 1'. An encoded chunk is gathered whole (it fits the buffer:
+      // pack.chunk_bytes is clamped to it) — the donated prefix, then the
+      // rest from the PFS — CRC'd and encoded, then reserved.
+      std::span<const std::byte> logical = donated;
+      Status gathered = Status::Ok();
+      if (donated.size() < logical_n) {
+        const std::span<std::byte> whole =
+            buffer().first(static_cast<std::size_t>(logical_n));
+        std::copy(donated.begin(), donated.end(), whole.begin());
+        gathered = ReadPfs(file->name, offset + donated.size(),
+                           whole.subspan(donated.size()));
+        logical = whole;
       }
+      if (gathered.ok()) gathered = codec_->Encode(logical, encoded);
+      if (!gathered.ok()) return fail(CopyResult::kFailed, std::move(gathered));
+      meta.crc_logical = Crc32c(logical);
+      meta.stored_bytes = encoded.size();
+      meta.crc_stored = Crc32c(std::span<const std::byte>(encoded));
+      level = ReserveChunk(file, cm, meta.stored_bytes, task.lane);
+      if (!level.has_value()) return fail(CopyResult::kNoSpace);
+    }
+    StorageDriver& tier = hierarchy_.Level(*level);
+
+    // 2. Per-tier staging-bandwidth cap, once per task: a prefetch copy
+    // parks while the tier is saturated (any completion on the tier
+    // un-parks it); demand copies are exempt so a read-triggered stage
+    // never waits here.
+    if (admitted < 0) {
+      if (!AdmitInflight(*level, task)) {
+        tier.Release(meta.stored_bytes);
+        return {CopyResult::kParked};
+      }
+      admitted = *level;
+    }
+
+    // 3. Write: one put of an encoded or wholly donated chunk; otherwise
+    // the donated prefix, then the rest read from the PFS through the
+    // buffer, slice by slice, the CRC accumulating in file order.
+    const std::string object = pack::ChunkObjectName(file->name, cm, c);
+    Status written = Status::Ok();
+    if (codec_ != nullptr || donated.size() == logical_n) {
+      if (codec_ == nullptr) meta.crc_logical = meta.crc_stored = Crc32c(donated);
+      written = tier.Write(object, codec_ != nullptr
+                                       ? std::span<const std::byte>(encoded)
+                                       : donated);
+      chunks_copied_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      std::uint32_t crc = 0;
+      for (std::uint64_t pos = 0; pos < logical_n && written.ok();) {
+        std::span<const std::byte> slice;
+        if (pos < donated.size()) {
+          slice = donated.subspan(static_cast<std::size_t>(pos),
+                                  static_cast<std::size_t>(std::min(
+                                      slice_bytes, donated.size() - pos)));
+        } else {
+          const std::span<std::byte> dst = buffer().first(
+              static_cast<std::size_t>(std::min(slice_bytes, logical_n - pos)));
+          written = ReadPfs(file->name, offset + pos, dst);
+          slice = dst;
+        }
+        if (!written.ok()) break;
+        crc = Crc32c(slice, crc);
+        written = tier.WriteAt(object, pos, slice);
+        chunks_copied_.fetch_add(1, std::memory_order_relaxed);
+        pos += slice.size();
+      }
+      meta.crc_logical = meta.crc_stored = crc;
+    }
+    if (written.ok()) {
+      donated_bytes_.fetch_add(donated.size(), std::memory_order_relaxed);
+    }
+
+    // 4. Optionally read the chunk back (in pooled slices) and prove the
+    // bytes landed intact — a corrupted staged copy must degrade to a
+    // failed placement, never get published as a serving replica.
+    CopyResult result{CopyResult::kPublished};
+    if (!written.ok()) {
+      result = {CopyResult::kFailed, written, {}, next};
+    } else if (resilience_.verify_staged_writes &&
+               !ReadBackMatches(tier, object, meta.stored_bytes,
+                                meta.crc_stored, buffer())) {
+      result = {CopyResult::kCorrupt,
+                DataLossError("staged chunk failed verification: " + object),
+                tier.name(), next};
     }
     if (result.kind != CopyResult::kPublished) {
+      // Remove a partial or corrupt copy so a retry starts clean and
+      // readers never see it. We still hold the reservation, so the
+      // quota comes back whether or not the delete found anything.
       (void)tier.Delete(object);
-      tier.Release(stored.size());
-      return result;
+      tier.Release(meta.stored_bytes);
+      return finish(std::move(result));
     }
+
+    // 5. Publish.
     {
       std::lock_guard lock(cm.placement_mutex());
       const std::uint32_t resident = cm.Publish(c, meta);
-      // Advertise the copy once it is complete — peers fetch chunked
-      // files whole. Under the placement mutex, so the ad can never be
-      // ordered after a concurrent eviction's retraction.
+      // Advertise the copy once it is complete — peers fetch pack files
+      // whole. Under the placement mutex, so the ad can never be ordered
+      // after a concurrent drop's retraction.
       if (resident == cm.num_chunks() && peer_view_ != nullptr) {
         peer_view_->OnStaged(file->name, *level);
       }
-      // First resident chunk: the file now serves (partially) from a
-      // tier, so the eviction policies see it as placed.
-      if (resident == 1) PublishFile(*file, *level, task);
+      // First resident chunk: the file now serves (at least partially)
+      // from a tier, so the eviction policies see it as placed.
+      if (resident == 1) PublishFile(*file, cm, task);
     }
-    chunks_staged_.fetch_add(1, std::memory_order_relaxed);
-    chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
     bytes_staged_.fetch_add(logical_n, std::memory_order_relaxed);
-    chunk_staged_counter_->Increment();
-    chunk_stored_bytes_counter_->Increment(stored.size());
+    if (!cm.whole_file()) {
+      chunks_staged_.fetch_add(1, std::memory_order_relaxed);
+      chunk_stored_bytes_.fetch_add(meta.stored_bytes,
+                                    std::memory_order_relaxed);
+      chunk_staged_counter_->Increment();
+      chunk_stored_bytes_counter_->Increment(meta.stored_bytes);
+    }
   }
-  return {CopyResult::kPublished};
+  return finish({CopyResult::kPublished});
 }
 
-void PlacementHandler::PublishFile(FileInfo& file, int level,
+void PlacementHandler::PublishFile(FileInfo& file, pack::ChunkMap& cm,
                                    const StagingTask& task) {
   file.fetch_failures.store(0, std::memory_order_relaxed);
   if (task.tenant.low_retention) {
@@ -679,14 +702,15 @@ void PlacementHandler::PublishFile(FileInfo& file, int level,
     // set member again, protected from low-retention evictors.
     NoteCopyDropped(file);
   }
-  file.FinishFetch(level);
+  Settle(file, cm, /*permanently=*/false);
   completed_.fetch_add(1, std::memory_order_relaxed);
   if (task.lane == StagingLane::kPrefetch) {
     prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
+bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause,
+                                std::optional<std::uint32_t> chunk) {
   FileInfo& f = *file;
   // Scan resistance (ISSUE 10): a low-retention requester may only
   // evict other low-retention copies — it can never push out a demand
@@ -698,36 +722,51 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
   if (scan_evictor && !f.low_retention.load(std::memory_order_acquire)) {
     return false;
   }
-  // Claim the copy: kPlaced -> kFetching stops concurrent readers from
-  // trusting its level while the bytes go.
-  PlacementState expected = PlacementState::kPlaced;
-  if (!f.state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                       std::memory_order_acq_rel)) {
-    return false;
-  }
-  // Read pins (ISSUE 6): a demand read is mid-flight on this file's
-  // staged copy. Revert the claim — its bytes stay until the read ends.
-  // The pin is checked after the claim so a reader that pinned first is
-  // always honoured; one that pins after this check degrades to the
-  // pre-pinning behaviour (kNotFound -> PFS fallback). A quarantine
-  // comes from the pinned reader that caught the corruption.
-  if (cause != DropCause::kQuarantine &&
-      f.read_pins.load(std::memory_order_acquire) > 0) {
-    f.state.store(PlacementState::kPlaced, std::memory_order_release);
-    eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool victim_low_retention =
-      f.low_retention.load(std::memory_order_acquire);
-  const int pfs = hierarchy_.pfs_level();
+  pack::ChunkMap* cm = f.chunk_map();
+  if (cm == nullptr) return false;
   StorageDriver* tier = nullptr;
   std::uint64_t freed = 0;
-  std::uint64_t chunks = 0;
-  bool dropped = false;
-  // Reset once the bytes are gone, so a re-stage never races the delete.
-  const auto reset = [&] {
-    f.level.store(pfs, std::memory_order_release);
-    NoteCopyDropped(f);
+  std::uint64_t dropped = 0;
+  bool victim_low_retention = false;
+  {
+    // Under the placement mutex, so a concurrent publish lands wholly
+    // before or after the drop, and drops of one file serialize.
+    std::lock_guard lock(cm->placement_mutex());
+    if (cm->ResidentCount() == 0 ||
+        (chunk.has_value() && !cm->IsResident(*chunk))) {
+      return false;
+    }
+    // Read pins: a demand read is mid-flight on this file's
+    // staged copy — its bytes stay until the read ends. A reader that
+    // pins after this check degrades to the pre-pinning behaviour
+    // (kNotFound -> PFS fallback). A quarantine comes from the pinned
+    // reader that caught the corruption.
+    if (cause != DropCause::kQuarantine &&
+        f.read_pins.load(std::memory_order_acquire) > 0) {
+      eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    victim_low_retention = f.low_retention.load(std::memory_order_acquire);
+    tier = &hierarchy_.Level(cm->tier());
+    // Peers fetch a pack file only whole, so the cluster directory
+    // advertises complete copies only: retract the ad before the bytes
+    // go.
+    if (cm->ResidentCount() == cm->num_chunks() && peer_view_ != nullptr) {
+      peer_view_->OnDropped(f.name);
+    }
+    const std::uint32_t first = chunk.value_or(0);
+    const std::uint32_t last =
+        chunk.has_value() ? *chunk : cm->num_chunks() - 1;
+    for (std::uint32_t c = first; c <= last; ++c) {
+      if (!cm->IsResident(c)) continue;
+      // The object goes before the resident bit: a resident chunk
+      // refuses claims, so no re-stage can write it while it is deleted.
+      (void)tier->Delete(pack::ChunkObjectName(f.name, *cm, c));
+      const std::uint64_t stored = cm->TryEvict(c);
+      tier->Release(stored);
+      freed += stored;
+      ++dropped;
+    }
     bool permanently = false;
     if (cause == DropCause::kQuarantine) {
       // A corrupt copy counts toward the per-file cap so persistent
@@ -738,44 +777,9 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
       permanently = !resilience_.restage_after_quarantine ||
                     failures >= resilience_.max_placement_attempts;
     }
-    f.AbortFetch(permanently);
-  };
-  if (pack::ChunkMap* cm = f.chunk_map(); cm != nullptr) {
-    // Under the placement mutex, so a concurrent chunk publish lands
-    // wholly before or after the drop and its state reset.
-    std::lock_guard lock(cm->placement_mutex());
-    if (cm->tier() >= 0) {
-      tier = &hierarchy_.Level(cm->tier());
-      for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-        const std::uint64_t stored = DropChunkLocked(f, *cm, c, *tier);
-        if (stored == 0) continue;
-        freed += stored;
-        ++chunks;
-      }
-    }
-    cm->MaybeResetTier();
-    dropped = chunks > 0;
-    reset();
-  } else {
-    const int level = f.level.load(std::memory_order_acquire);
-    if (level == pfs) {
-      // Nothing staged (stale snapshot); leave the file as we found it.
-      f.state.store(PlacementState::kPlaced, std::memory_order_release);
-      return false;
-    }
-    tier = &hierarchy_.Level(level);
-    // Readers stop routing to the tier, and the cluster directory stops
-    // advertising the copy, before its bytes go.
-    f.level.store(pfs, std::memory_order_release);
-    if (peer_view_ != nullptr) peer_view_->OnDropped(f.name);
-    dropped = tier->Delete(f.name).ok();
-    if (dropped) {
-      tier->Release(f.size);
-      freed = f.size;
-    }
-    reset();
+    if (cm->ResidentCount() == 0) NoteCopyDropped(f);
+    Settle(f, *cm, permanently);
   }
-  if (tier == nullptr) return false;
 
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (cause == DropCause::kQuarantine) {
@@ -788,7 +792,7 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
     }
     MLOG_WARN << "quarantined corrupt copy of '" << f.name << "' on tier '"
               << tier->name() << "'; reads fall back to the PFS";
-  } else if (cause == DropCause::kEvict && dropped) {
+  } else if (cause == DropCause::kEvict) {
     if (scan_evictor && !victim_low_retention) {
       // Unreachable under the guard above; counted so a future
       // regression shows up in `qos.cross_class_evictions` instead of
@@ -796,9 +800,9 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
       cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
       cross_class_counter_->Increment();
     }
-    if (chunks > 0) {
-      chunks_evicted_.fetch_add(chunks, std::memory_order_relaxed);
-      chunk_evicted_counter_->Increment(chunks);
+    if (!cm->whole_file()) {
+      chunks_evicted_.fetch_add(dropped, std::memory_order_relaxed);
+      chunk_evicted_counter_->Increment(dropped);
     } else {
       evictions_.fetch_add(1, std::memory_order_relaxed);
       evictions_counter_->Increment();
@@ -810,11 +814,12 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropCause cause) {
           "placement.evict", "placement",
           "\"file\":" + obs::JsonQuote(f.name) +
               ",\"bytes\":" + std::to_string(freed) +
-              (chunks > 0 ? ",\"chunks\":" + std::to_string(chunks) : "") +
+              (cm->whole_file() ? ""
+                                : ",\"chunks\":" + std::to_string(dropped)) +
               ",\"tier\":" + obs::JsonQuote(tier->name()));
     }
   }
-  return dropped;
+  return true;
 }
 
 std::uint64_t PlacementHandler::DropAllCopies() {
@@ -837,17 +842,13 @@ std::uint64_t PlacementHandler::ReadvertiseCopies() {
   for (const auto& entry : metadata_.Snapshot()) {
     if (entry.state != PlacementState::kPlaced) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info ||
-        info->state.load(std::memory_order_acquire) != PlacementState::kPlaced) {
-      continue;
-    }
-    // A chunked file is advertised only while its copy is complete.
-    if (const pack::ChunkMap* cm = info->chunk_map();
-        cm != nullptr && cm->ResidentCount() != cm->num_chunks()) {
-      continue;
-    }
-    peer_view_->OnStaged(entry.name,
-                         info->level.load(std::memory_order_acquire));
+    pack::ChunkMap* cm = info ? info->chunk_map() : nullptr;
+    if (cm == nullptr) continue;
+    // A copy is advertised only while it is complete; under the placement
+    // mutex, like a publish, so the ad cannot outlive a concurrent drop.
+    std::lock_guard lock(cm->placement_mutex());
+    if (cm->ResidentCount() != cm->num_chunks()) continue;
+    peer_view_->OnStaged(entry.name, cm->tier());
     ++readvertised;
   }
   return readvertised;
@@ -878,13 +879,8 @@ std::optional<int> PlacementHandler::ReserveSpace(const FileInfoPtr& file,
     if (victim == file) continue;
     // A reservation pinned to `level` (the tier holding the incoming
     // file's other chunks) is helped only by victims resident there.
-    if (level >= 0) {
-      const pack::ChunkMap* vcm = victim->chunk_map();
-      const int victim_level =
-          vcm != nullptr && vcm->ResidentCount() > 0
-              ? vcm->tier()
-              : victim->level.load(std::memory_order_acquire);
-      if (victim_level != level) continue;
+    if (level >= 0 && victim->level.load(std::memory_order_acquire) != level) {
+      continue;
     }
     if (!DropCopy(victim, DropCause::kEvict)) continue;
     if (std::optional<int> reserved = reserve()) return reserved;
@@ -923,22 +919,6 @@ std::vector<FileInfoPtr> PlacementHandler::RankVictims(
     }
   }
   return ranked;
-}
-
-std::uint64_t PlacementHandler::DropChunkLocked(const FileInfo& file,
-                                                pack::ChunkMap& cm,
-                                                std::uint32_t chunk,
-                                                StorageDriver& tier) {
-  const bool was_complete = cm.ResidentCount() == cm.num_chunks();
-  const std::uint64_t stored = cm.TryEvict(chunk);
-  if (stored == 0) return 0;
-  // Peers fetch a chunked file only as a whole (and verify it against
-  // the pack index), so the directory advertises complete copies only:
-  // retract the ad before the first chunk's bytes go.
-  if (was_complete && peer_view_ != nullptr) peer_view_->OnDropped(file.name);
-  (void)tier.Delete(pack::ChunkObjectName(file.name, chunk));
-  tier.Release(stored);
-  return stored;
 }
 
 std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,

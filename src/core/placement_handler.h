@@ -1,27 +1,30 @@
 // PlacementHandler: MONARCH's background staging engine (§III-A/B),
 // rebuilt as a pipelined, two-lane copy service. It alone decides what a
-// staged copy is — the whole file, or the fixed-size chunks of a file in
-// pack mode — and runs every copy through one lifecycle:
+// staged copy is. The one unit is the chunk of a file's ChunkMap: a
+// fixed-size chunk in pack mode, the whole file in whole-file mode (the
+// paper's unit, the one-chunk case). Every copy runs one lifecycle:
 //
-//   claim    Stage() takes the FileInfo fetch flag (whole file) or the
-//            ChunkMap claim bits of a byte range (pack mode) and enqueues
+//   claim    Stage() takes the ChunkMap claim bits of the chunks a read
+//            touched (all of them for a prestage or hint) and enqueues
 //            the task; a claim is held by exactly one staging task.
 //   place    dedicated worker threads — the paper configures 6 — ask the
 //            placement policy for a writable level with room (first-fit
-//            top-down in the paper's configuration), then copy: a whole
-//            file streams tier-to-tier in chunks drawn from a bounded,
+//            top-down in the paper's configuration), then copy each
+//            claimed chunk: the triggering read's bytes from the chunk's
+//            offset on, the rest read from the PFS through a bounded,
 //            reusable buffer pool (peak staging memory is
-//            `staging_buffer_bytes`), reusing any leading bytes the
-//            triggering read already pulled; a chunk is read, encoded by
-//            the pack codec and CRC'd on both sides.
-//   publish  the copy's CRC is recorded (and, when verify_staged_writes
-//            is on, proven by a read-back), the file's level flips so
-//            reads are served from it, and a complete copy is advertised
-//            to the cluster directory.
-//   drop     DropCopy() claims a placed copy, honours read pins, retracts
-//            the advertisement, deletes the object(s), releases the quota
-//            and resets the file to PFS-resident — for eviction, read-time
-//            quarantine and cleanup alike.
+//            `staging_buffer_bytes`) slice by slice, CRC'd on the way; a
+//            pack chunk with a codec is gathered whole, encoded and CRC'd
+//            on both sides.
+//   publish  when verify_staged_writes is on, a read-back in pooled
+//            slices proves the chunk's CRC; its metadata is then
+//            published so reads are served from it, and a complete copy
+//            is advertised to the cluster directory.
+//   drop     DropCopy() honours read pins, retracts the advertisement,
+//            deletes the named chunk (or every resident one), releases
+//            the quota and resets the file to PFS-resident once nothing
+//            is left — for eviction, read-time quarantine and cleanup
+//            alike.
 //
 // Two lanes: DEMAND tasks come from actual reads and always run first;
 // PREFETCH tasks come from look-ahead hints (Monarch::HintUpcoming) and
@@ -88,10 +91,11 @@ struct PlacementOptions {
   /// Background copy threads (paper: 6).
   int num_threads = 6;
 
-  /// When the framework's read covers only part of the file, fetch the
-  /// whole file in the background anyway (§III-B). Disabling this is the
-  /// `abl_design_choices` "no-full-fetch" arm: only full-file reads get
-  /// staged.
+  /// When the framework's read covers only part of a chunk, fetch the
+  /// whole chunk — in whole-file mode the whole file — in the background
+  /// anyway (§III-B). Disabling this is the `abl_design_choices`
+  /// "no-full-fetch" arm: only the chunks a read covers in full (in
+  /// whole-file mode, only full-file reads) get staged.
   bool fetch_full_file_on_partial_read = true;
 
   /// Force the demand lane to evict even under a policy that does not
@@ -110,9 +114,10 @@ struct PlacementOptions {
   std::uint64_t staging_chunk_bytes = 4ULL * 1024 * 1024;
 
   /// Per-tier cap on bytes being staged concurrently by the PREFETCH
-  /// lane; 0 = uncapped. While a tier carries this much in-flight
-  /// staging, further prefetch copies park until a copy completes —
-  /// demand staging is exempt (`[placement] tier_inflight_cap_bytes`).
+  /// lane; 0 = uncapped. Every task's claimed bytes count as in flight;
+  /// while a tier carries this much, further prefetch copies park until a
+  /// copy completes — demand staging is exempt
+  /// (`[placement] tier_inflight_cap_bytes`).
   std::uint64_t tier_inflight_cap_bytes = 0;
 
   /// How many hinted files the prefetch cursor keeps in flight ahead of
@@ -130,8 +135,8 @@ struct PlacementOptions {
   qos::QosOptions qos;
 
   /// Small-file packing / chunk-granularity staging (ISSUE 9). When
-  /// `pack.enabled`, dataset files are staged, evicted and served chunk
-  /// by chunk instead of whole; `pack.chunk_bytes` is clamped to the
+  /// `pack.enabled`, files are cut into `pack.chunk_bytes` chunks instead
+  /// of one whole-file chunk; `pack.chunk_bytes` is clamped to the
   /// staging chunk size so a logical chunk always fits one pooled buffer.
   pack::PackOptions pack;
 };
@@ -158,7 +163,7 @@ struct PlacementStats {
   std::uint64_t prefetch_completed = 0;  ///< hint-lane copies published
   std::uint64_t prefetch_promoted = 0;   ///< hints overtaken by demand reads
   std::uint64_t prefetch_cancelled = 0;  ///< hints dropped before staging
-  std::uint64_t chunks_copied = 0;       ///< chunk writes across all copies
+  std::uint64_t chunks_copied = 0;       ///< tier writes across all copies
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t queue_depth_demand = 0;  ///< gauge: demand tasks waiting
   std::uint64_t queue_depth_prefetch = 0; ///< gauge: prefetch waiting+parked
@@ -193,14 +198,15 @@ struct PlacementStats {
 /// What to claim and stage (PlacementHandler::Stage).
 struct StageRequest {
   StagingLane lane = StagingLane::kDemand;
-  /// The bytes a read touched. Whole-file mode stages the whole file
-  /// (a partial range only when fetch_full_file_on_partial_read); pack
-  /// mode the chunks that overlap the range. Default: the whole file.
+  /// The bytes a read touched: the chunks that overlap the range are
+  /// claimed (only those it covers in full when
+  /// fetch_full_file_on_partial_read is off). Default: the whole file.
   std::uint64_t offset = 0;
   std::uint64_t length = std::numeric_limits<std::uint64_t>::max();
-  /// Bytes the triggering read already pulled at `offset`. An offset-0
-  /// read donates them to the whole-file copy, which never re-reads them
-  /// from the PFS; they are copied only when the claim succeeds.
+  /// Bytes the triggering read already pulled at `offset`. Those from a
+  /// claimed chunk's offset on are donated to its copy, which never
+  /// re-reads them from the PFS; they are copied only when a claim
+  /// succeeds.
   std::span<const std::byte> served{};
   /// A look-ahead hint asked: mark the file `prefetched` (prefetch-hit
   /// accounting).
@@ -228,15 +234,21 @@ class PlacementHandler {
   PlacementHandler(const PlacementHandler&) = delete;
   PlacementHandler& operator=(const PlacementHandler&) = delete;
 
-  /// Claim `file`'s staging unit for `request` — the file-level fetch
-  /// flag, or every unclaimed non-resident chunk of the range in pack
-  /// mode — and enqueue it. Returns false when nothing was claimed
-  /// (resident, held by another stager, past max_placement_attempts, or
-  /// a partial read with fetch_full_file_on_partial_read off); a demand
-  /// request that loses the whole-file claim to a queued prefetch
-  /// promotes it. A stopped handler hands a claim straight back. Never
-  /// blocks.
+  /// Claim every unclaimed non-resident chunk of `file` that `request`
+  /// touches and enqueue them as one task. Returns false when nothing was
+  /// claimed (resident, held by another stager, past
+  /// max_placement_attempts, or a partial read with
+  /// fetch_full_file_on_partial_read off); a demand request that finds
+  /// its chunks claimed by a queued prefetch promotes it. A stopped
+  /// handler hands the claims straight back. Never blocks on I/O.
   bool Stage(const FileInfoPtr& file, const StageRequest& request);
+
+  /// `file`'s chunk map, created on first use: `pack.chunk_bytes` chunks
+  /// in pack mode, one whole-file chunk otherwise.
+  pack::ChunkMap& ChunksOf(FileInfo& file) const {
+    return *file.EnsureChunkMap(
+        options_.pack.enabled ? options_.pack.chunk_bytes : 0);
+  }
 
   /// A demand read overtook a queued (or parked) prefetch of `file`:
   /// move the task to the demand lane so it stops waiting behind other
@@ -249,13 +261,15 @@ class PlacementHandler {
   /// the number of cancelled hints.
   std::size_t CancelPrefetches();
 
-  /// The one drop routine: claim `file`'s placed copy (kPlaced ->
-  /// kFetching), honour read pins (not for a quarantine: the reader that
-  /// found the corruption holds one), retract the directory ad, delete
-  /// the whole-file object or every resident chunk, release the quota,
-  /// return the low-retention share and reset the file to PFS-resident.
-  /// Returns false when nothing was dropped. Thread-safe.
-  bool DropCopy(const FileInfoPtr& file, DropCause cause);
+  /// The one drop routine: under the file's placement mutex, honour read
+  /// pins (not for a quarantine: the reader that found the corruption
+  /// holds one), retract the directory ad of a complete copy, delete
+  /// resident `chunk` — every resident chunk when none is named — release
+  /// the quota, and reset the file to PFS-resident once nothing is left.
+  /// A quarantine counts toward max_placement_attempts. Returns false
+  /// when nothing was dropped. Thread-safe.
+  bool DropCopy(const FileInfoPtr& file, DropCause cause,
+                std::optional<std::uint32_t> chunk = std::nullopt);
 
   /// Ephemeral teardown (Monarch::CleanupStagedCopies): pause staging,
   /// drain it, DropCopy every placed file, then resume staging unless it
@@ -266,14 +280,6 @@ class PlacementHandler {
   /// node re-enters the cluster directory). Returns the copies
   /// advertised; 0 without a peer view.
   std::uint64_t ReadvertiseCopies();
-
-  /// Drop resident chunk `chunk` of `file` from `tier`: clear its
-  /// residency bit, retract the cluster-directory advertisement when the
-  /// file's copy was complete, delete the chunk object and release its
-  /// quota. Returns the stored bytes freed (0 = it was not resident).
-  /// Caller holds cm.placement_mutex().
-  std::uint64_t DropChunkLocked(const FileInfo& file, pack::ChunkMap& cm,
-                                std::uint32_t chunk, StorageDriver& tier);
 
   /// Forward the whole-run demand access sequence to the policy
   /// (Monarch::InstallRunSchedule; the clairvoyant policy consumes it).
@@ -316,9 +322,12 @@ class PlacementHandler {
  private:
   struct StagingTask {
     FileInfoPtr file;
-    std::optional<std::vector<std::byte>> content;
+    /// Bytes the triggering read donated, starting at file offset
+    /// `content_offset` (a claimed chunk's offset).
+    std::vector<std::byte> content;
+    std::uint64_t content_offset = 0;
     StagingLane lane = StagingLane::kDemand;
-    /// Claimed chunk indexes (pack mode); empty = whole-file task.
+    /// Claimed chunk indexes, ascending.
     std::vector<std::uint32_t> chunks;
     /// Who this staging serves, captured from the scheduling thread's
     /// ambient tenant and re-installed on the worker (ISSUE 10).
@@ -338,42 +347,54 @@ class PlacementHandler {
   /// rides the prefetch class; demand tasks use their tenant's I/O
   /// class (interactive/training in band 0, scan in band 1).
   [[nodiscard]] static int TaskClass(const StagingTask& task) noexcept;
-  /// Service cost of the task in bytes (fair-queue finish-tag units).
-  [[nodiscard]] double TaskCost(const StagingTask& task) const noexcept;
+  /// Logical bytes of the task's claimed chunks: its fair-queue cost and
+  /// its in-flight charge.
+  [[nodiscard]] static std::uint64_t TaskBytes(const StagingTask& task);
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
-  /// Hand back a task's claims: the file-level fetch flag (marked
-  /// unplaceable when `permanently`), or every chunk claim.
+  /// Hand back a task's chunk claims (the file is marked unplaceable
+  /// when `permanently` and nothing of it is resident).
   void ReleaseClaims(const StagingTask& task, bool permanently = false);
+  /// Rewrite `file`'s view (state, level) from its map: kPlaced on the
+  /// map's tier while a chunk is resident, else the PFS level and
+  /// kFetching while claims are out, kUnplaceable once `permanently` (or
+  /// already) marked, kPfsOnly otherwise. Caller holds
+  /// cm.placement_mutex().
+  void Settle(FileInfo& file, pack::ChunkMap& cm, bool permanently);
   /// Low-retention bookkeeping when a staged copy disappears (any drop)
   /// or a demand tenant re-stages it: clears the file's marking and
   /// returns the resident gauge's share.
   void NoteCopyDropped(FileInfo& file) noexcept;
 
   void WorkerLoop();
-  /// Stage one task: the shared prologue (trace span, scan-cap refusal),
-  /// the unit's copy loop, and the shared epilogue (no-space rejection,
-  /// failure accounting). Returns normally whatever the outcome.
+  /// Stage one task: the prologue (trace span, scan-cap refusal), the
+  /// copy loop, and the epilogue (no-space rejection, failure
+  /// accounting). Returns normally whatever the outcome.
   void Place(StagingTask task);
-  /// Whole-file copy loop: reserve a level, admit the in-flight bytes,
-  /// copy (donated prefix first), verify and publish.
-  CopyResult CopyFile(StagingTask& task);
-  /// Chunk copy loop: read, encode and CRC each claimed chunk, reserve
-  /// on the file's tier, write, verify and publish.
-  CopyResult CopyChunks(const StagingTask& task);
-  /// Chunk loop: write the donated `prefix` (if any), then stream the
-  /// rest of the file from the PFS through one pooled buffer.
-  /// `crc` accumulates over every byte in file order.
-  Status StreamCopy(const FileInfoPtr& file,
-                    const std::optional<std::vector<std::byte>>& prefix,
-                    StorageDriver& destination, std::uint32_t& crc);
-  /// Chunked read-back verification against `crc` (bounded memory).
-  bool VerifyStagedCopy(const FileInfoPtr& file, StorageDriver& destination,
-                        std::uint32_t crc);
+  /// The copy loop: for each claimed chunk, reserve room on the file's
+  /// tier (the first chunk also admits the task's in-flight bytes), write
+  /// the donated prefix and the rest read from the PFS — slice by slice
+  /// through one pooled buffer, or gathered and encoded when a codec is
+  /// on — verify the read-back and publish.
+  CopyResult CopyChunks(StagingTask& task);
+  /// The bytes the triggering read donated from chunk `c`'s offset on
+  /// (at most the chunk), empty when it donated none.
+  static std::span<const std::byte> DonatedPrefix(const StagingTask& task,
+                                                  const pack::ChunkMap& cm,
+                                                  std::uint32_t c);
+  /// Fill `dst` from the PFS copy of `name` at `offset`; a short read is
+  /// an error.
+  Status ReadPfs(const std::string& name, std::uint64_t offset,
+                 std::span<std::byte> dst);
+  /// Read `bytes` of `object` back from `tier` through `buffer`, slice by
+  /// slice, and compare the CRC with `crc`.
+  static bool ReadBackMatches(StorageDriver& tier, const std::string& object,
+                              std::uint64_t bytes, std::uint32_t crc,
+                              std::span<std::byte> buffer);
   /// Publish bookkeeping once `file` first serves from `level`: reset
-  /// the failure count, mark (or clear) the low-retention share, flip
-  /// the level and count the completion.
-  void PublishFile(FileInfo& file, int level, const StagingTask& task);
+  /// the failure count, mark (or clear) the low-retention share, settle
+  /// the view and count the completion. Caller holds the placement mutex.
+  void PublishFile(FileInfo& file, pack::ChunkMap& cm, const StagingTask& task);
   /// Count one failed staging attempt and release the task's claims:
   /// the file stays retryable (a later access re-claims it) until the
   /// per-file cap marks it unplaceable.
@@ -394,7 +415,7 @@ class PlacementHandler {
                                        StagingLane lane);
   /// Reserve `stored_bytes` for one chunk of `file`: on the file's tier
   /// once one is assigned, else on the level the policy picks (which
-  /// then becomes the file's tier).
+  /// then becomes the file's tier; all of a file's chunks share it).
   std::optional<int> ReserveChunk(const FileInfoPtr& file,
                                   pack::ChunkMap& cm,
                                   std::uint64_t stored_bytes,

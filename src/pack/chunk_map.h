@@ -1,8 +1,11 @@
-// Per-file chunk residency state for chunk-granularity staging
-// (Hoard/FanStore-style, see PAPERS.md): which fixed-size chunks of one
-// logical file currently have a staged copy on a cache tier, which are
-// being staged right now, and the per-chunk verification metadata the
-// read path needs to serve them.
+// Per-file chunk residency state — the one staging unit (dm-cache /
+// Hoard / FanStore-style, see PAPERS.md and SNIPPETS.md): which chunks of
+// one logical file currently have a staged copy on a cache tier, which
+// are being staged right now, and the per-chunk verification metadata the
+// read path needs to serve them. Pack mode cuts a file into fixed-size
+// chunks; whole-file mode (the paper's unit) is the one-chunk case, a map
+// whose single chunk spans the file and whose tier object is the file's
+// own name.
 //
 // Concurrency contract — the read path is lock-free, placement is not:
 //
@@ -23,8 +26,8 @@
 // rewrite meta while a reader might be using it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <charconv>
 #include <cstdint>
 #include <mutex>
@@ -40,23 +43,26 @@ class ChunkMap {
  public:
   /// Stored-side description of one resident chunk.
   struct ChunkMeta {
-    std::uint32_t stored_bytes = 0;  ///< post-codec bytes on the tier
+    std::uint64_t stored_bytes = 0;  ///< post-codec bytes on the tier
     std::uint32_t crc_stored = 0;    ///< CRC32C of the stored bytes
     std::uint32_t crc_logical = 0;   ///< CRC32C of the logical bytes
   };
 
+  /// `chunk_bytes` 0 is whole-file mode: one chunk spanning the file
+  /// (an empty file included), stored under the file's own name.
   ChunkMap(std::uint64_t file_bytes, std::uint64_t chunk_bytes)
       : file_bytes_(file_bytes),
-        chunk_bytes_(chunk_bytes),
-        num_chunks_(static_cast<std::uint32_t>(
-            chunk_bytes == 0 ? 0 : (file_bytes + chunk_bytes - 1) /
-                                       chunk_bytes)),
-        resident_bits_((num_chunks_ + 63) / 64),
+        chunk_bytes_(chunk_bytes > 0 ? chunk_bytes
+                                     : std::max<std::uint64_t>(1, file_bytes)),
+        whole_file_(chunk_bytes == 0),
+        num_chunks_(whole_file_ ? 1
+                                : static_cast<std::uint32_t>(
+                                      (file_bytes + chunk_bytes - 1) /
+                                      chunk_bytes)),
+        resident_tail_(num_chunks_ > 64 ? (num_chunks_ - 1) / 64 : 0),
         claimed_bits_((num_chunks_ + 63) / 64),
-        meta_lo_(num_chunks_),
-        meta_hi_(num_chunks_) {
-    assert(chunk_bytes > 0);
-  }
+        meta_(num_chunks_),
+        crcs_(num_chunks_) {}
 
   ChunkMap(const ChunkMap&) = delete;
   ChunkMap& operator=(const ChunkMap&) = delete;
@@ -66,26 +72,29 @@ class ChunkMap {
   [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
   [[nodiscard]] std::uint64_t chunk_bytes() const { return chunk_bytes_; }
   [[nodiscard]] std::uint32_t num_chunks() const { return num_chunks_; }
+  /// Whole-file mode: one chunk named after the file, no pack codec.
+  [[nodiscard]] bool whole_file() const { return whole_file_; }
 
+  /// The chunk holding `offset`, an offset inside the file. A one-chunk
+  /// map — every whole-file map — skips the division on the read path.
   [[nodiscard]] std::uint32_t ChunkOf(std::uint64_t offset) const {
-    return static_cast<std::uint32_t>(offset / chunk_bytes_);
+    return num_chunks_ == 1
+               ? 0
+               : static_cast<std::uint32_t>(offset / chunk_bytes_);
   }
   [[nodiscard]] std::uint64_t ChunkOffset(std::uint32_t index) const {
     return static_cast<std::uint64_t>(index) * chunk_bytes_;
   }
   /// Logical bytes in chunk `index` (the last chunk may be short).
-  [[nodiscard]] std::uint32_t ChunkLogicalBytes(std::uint32_t index) const {
+  [[nodiscard]] std::uint64_t ChunkLogicalBytes(std::uint32_t index) const {
     const std::uint64_t begin = ChunkOffset(index);
-    const std::uint64_t end =
-        begin + chunk_bytes_ < file_bytes_ ? begin + chunk_bytes_
-                                           : file_bytes_;
-    return static_cast<std::uint32_t>(end - begin);
+    return std::min(begin + chunk_bytes_, file_bytes_) - begin;
   }
 
   // ------------------------------------------------------ read path
 
   [[nodiscard]] bool IsResident(std::uint32_t index) const {
-    return (resident_bits_[index / 64].load(std::memory_order_acquire) &
+    return (ResidentWord(index).load(std::memory_order_acquire) &
             Bit(index)) != 0;
   }
 
@@ -118,11 +127,11 @@ class ChunkMap {
   /// Meta of a resident chunk. Only meaningful after IsResident(index)
   /// returned true; immutable while the chunk stays resident.
   [[nodiscard]] ChunkMeta Meta(std::uint32_t index) const {
-    const std::uint64_t lo = meta_lo_[index].load(std::memory_order_acquire);
+    const std::uint64_t crcs = crcs_[index].load(std::memory_order_acquire);
     ChunkMeta meta;
-    meta.stored_bytes = static_cast<std::uint32_t>(lo >> 32u);
-    meta.crc_stored = static_cast<std::uint32_t>(lo);
-    meta.crc_logical = meta_hi_[index].load(std::memory_order_acquire);
+    meta.stored_bytes = meta_[index].load(std::memory_order_acquire);
+    meta.crc_stored = static_cast<std::uint32_t>(crcs >> 32u);
+    meta.crc_logical = static_cast<std::uint32_t>(crcs);
     return meta;
   }
 
@@ -190,16 +199,16 @@ class ChunkMap {
   /// claim. Returns the resident count after the publish. Caller holds
   /// the claim bit and placement_mutex().
   std::uint32_t Publish(std::uint32_t index, const ChunkMeta& meta) {
-    meta_lo_[index].store(
-        (static_cast<std::uint64_t>(meta.stored_bytes) << 32u) |
-            meta.crc_stored,
+    meta_[index].store(meta.stored_bytes, std::memory_order_release);
+    crcs_[index].store(
+        (static_cast<std::uint64_t>(meta.crc_stored) << 32u) |
+            meta.crc_logical,
         std::memory_order_release);
-    meta_hi_[index].store(meta.crc_logical, std::memory_order_release);
     resident_stored_bytes_.fetch_add(meta.stored_bytes,
                                      std::memory_order_acq_rel);
     resident_logical_bytes_.fetch_add(ChunkLogicalBytes(index),
                                       std::memory_order_acq_rel);
-    resident_bits_[index / 64].fetch_or(Bit(index),
+    ResidentWord(index).fetch_or(Bit(index),
                                         std::memory_order_acq_rel);
     const std::uint32_t count =
         resident_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -213,7 +222,7 @@ class ChunkMap {
   /// + releases quota afterwards.
   std::uint64_t TryEvict(std::uint32_t index) {
     const std::uint64_t bit = Bit(index);
-    const std::uint64_t prev = resident_bits_[index / 64].fetch_and(
+    const std::uint64_t prev = ResidentWord(index).fetch_and(
         ~bit, std::memory_order_acq_rel);
     if ((prev & bit) == 0) return 0;
     const ChunkMeta meta = Meta(index);
@@ -230,32 +239,54 @@ class ChunkMap {
     return std::uint64_t{1} << (index % 64);
   }
 
+  /// The word holding chunk `index`'s resident bit.
+  [[nodiscard]] std::atomic<std::uint64_t>& ResidentWord(
+      std::uint32_t index) {
+    return index < 64 ? resident_head_ : resident_tail_[index / 64 - 1];
+  }
+  [[nodiscard]] const std::atomic<std::uint64_t>& ResidentWord(
+      std::uint32_t index) const {
+    return index < 64 ? resident_head_ : resident_tail_[index / 64 - 1];
+  }
+
+  // What a read of a resident chunk touches comes first and stays inline
+  // — geometry, tier and the first 64 resident bits — so serving one
+  // (every whole-file map) loads no cache line beyond the map's first.
   const std::uint64_t file_bytes_;
   const std::uint64_t chunk_bytes_;
+  const bool whole_file_;
   const std::uint32_t num_chunks_;
+  std::atomic<int> tier_{-1};
+  std::atomic<std::uint64_t> resident_head_{0};  ///< chunks 0..63
+  std::vector<std::atomic<std::uint64_t>> resident_tail_;
 
-  std::vector<std::atomic<std::uint64_t>> resident_bits_;
   std::vector<std::atomic<std::uint64_t>> claimed_bits_;
-  /// Per-chunk (stored_bytes << 32 | crc_stored) — one load gives the
-  /// read path a consistent pair.
-  std::vector<std::atomic<std::uint64_t>> meta_lo_;
-  std::vector<std::atomic<std::uint32_t>> meta_hi_;  ///< crc_logical
+  /// Per-chunk stored bytes, and (crc_stored << 32 | crc_logical). Both
+  /// are immutable while the chunk is resident.
+  std::vector<std::atomic<std::uint64_t>> meta_;
+  std::vector<std::atomic<std::uint64_t>> crcs_;
 
   std::atomic<std::uint32_t> resident_count_{0};
   std::atomic<std::uint32_t> claims_{0};
   std::atomic<std::uint64_t> resident_stored_bytes_{0};
   std::atomic<std::uint64_t> resident_logical_bytes_{0};
-  std::atomic<int> tier_{-1};
 
   std::mutex placement_mu_;
 };
 
-/// Tier object name of one staged chunk. '#' cannot appear in pack
+/// Tier object name of one staged pack chunk. '#' cannot appear in pack
 /// logical names (PackWriter rejects it), so chunk objects never
 /// collide with whole-file staged copies.
 inline std::string ChunkObjectName(const std::string& file,
                                    std::uint32_t index) {
   return file + "#c" + std::to_string(index);
+}
+
+/// Tier object name of chunk `index` of `file` under map `cm`: the file's
+/// own name in whole-file mode, ChunkObjectName in pack mode.
+inline std::string ChunkObjectName(const std::string& file,
+                                   const ChunkMap& cm, std::uint32_t index) {
+  return cm.whole_file() ? file : ChunkObjectName(file, index);
 }
 
 /// Inverse of ChunkObjectName: the file a chunk object belongs to, or

@@ -110,9 +110,16 @@ class [[nodiscard]] Result {
     return std::holds_alternative<T>(payload_);
   }
 
-  [[nodiscard]] Status status() const {
-    if (ok()) return Status::Ok();
+  /// The error, or OK. A reference on lvalues, so checking a miss (the
+  /// retry loop's IsRetryableError) never copies its message.
+  [[nodiscard]] const Status& status() const& {
+    static const Status kOk;
+    if (ok()) return kOk;
     return std::get<Status>(payload_);
+  }
+  [[nodiscard]] Status status() && {
+    if (ok()) return Status::Ok();
+    return std::get<Status>(std::move(payload_));
   }
 
   [[nodiscard]] T& value() & {
@@ -160,5 +167,5 @@ class [[nodiscard]] Result {
 #define MONARCH_CONCAT_(a, b) MONARCH_CONCAT_INNER_(a, b)
 #define MONARCH_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, expr) \
   auto tmp = (expr);                                   \
-  if (!tmp.ok()) return tmp.status();                  \
+  if (!tmp.ok()) return std::move(tmp).status();       \
   lhs = std::move(tmp).value()

@@ -74,40 +74,52 @@ TEST(MetadataContainerTest, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(PlacementState::kPfsOnly, snapshot[0].state);
 }
 
+// Whole-file mode's staging unit is a one-chunk map: claiming its chunk
+// is claiming the file's fetch.
 TEST(FileInfoTest, FetchStateMachine) {
   FileInfo info("f", 10, /*pfs_level=*/1);
-  EXPECT_TRUE(info.TryBeginFetch());
-  EXPECT_FALSE(info.TryBeginFetch()) << "second claim must fail";
-  EXPECT_EQ(PlacementState::kFetching, info.state.load());
+  EXPECT_EQ(nullptr, info.chunk_map()) << "no map before the first touch";
+  pack::ChunkMap& cm = *info.EnsureChunkMap(0);
+  EXPECT_EQ(&cm, info.EnsureChunkMap(0)) << "one map per file";
+  EXPECT_TRUE(cm.whole_file());
+  ASSERT_EQ(1u, cm.num_chunks());
+  EXPECT_EQ(10u, cm.ChunkLogicalBytes(0));
+  EXPECT_EQ("f", pack::ChunkObjectName(info.name, cm, 0))
+      << "a whole-file copy keeps the file's object name";
 
-  info.FinishFetch(0);
-  EXPECT_EQ(0, info.level.load());
-  EXPECT_EQ(PlacementState::kPlaced, info.state.load());
-  EXPECT_FALSE(info.TryBeginFetch()) << "placed files are never re-fetched";
+  EXPECT_TRUE(cm.TryClaim(0));
+  EXPECT_FALSE(cm.TryClaim(0)) << "second claim must fail";
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    EXPECT_EQ(0, cm.AssignTier(0));
+    EXPECT_EQ(1u, cm.Publish(0, {}));
+  }
+  EXPECT_TRUE(cm.RangeResident(0, 10));
+  EXPECT_FALSE(cm.TryClaim(0)) << "placed files are never re-fetched";
 }
 
-TEST(FileInfoTest, AbortFetchRestoresOrPoisons) {
-  FileInfo transient("f", 10, 1);
-  ASSERT_TRUE(transient.TryBeginFetch());
-  transient.AbortFetch(/*permanently=*/false);
-  EXPECT_EQ(PlacementState::kPfsOnly, transient.state.load());
-  EXPECT_TRUE(transient.TryBeginFetch()) << "retry after transient failure";
+TEST(FileInfoTest, ReleasedClaimIsRetryable) {
+  FileInfo info("f", 10, 1);
+  pack::ChunkMap& cm = *info.EnsureChunkMap(0);
+  ASSERT_TRUE(cm.TryClaim(0));
+  cm.ReleaseClaim(0);
+  EXPECT_EQ(0u, cm.Claims());
+  EXPECT_TRUE(cm.TryClaim(0)) << "retry after transient failure";
 
-  FileInfo permanent("g", 10, 1);
-  ASSERT_TRUE(permanent.TryBeginFetch());
-  permanent.AbortFetch(/*permanently=*/true);
-  EXPECT_EQ(PlacementState::kUnplaceable, permanent.state.load());
-  EXPECT_FALSE(permanent.TryBeginFetch()) << "no retry once unplaceable";
+  FileInfo empty("e", 0, 1);
+  EXPECT_EQ(1u, empty.EnsureChunkMap(0)->num_chunks())
+      << "an empty file still has one chunk to stage";
 }
 
 TEST(FileInfoTest, ConcurrentClaimGrantsExactlyOne) {
   for (int round = 0; round < 50; ++round) {
     FileInfo info("f", 10, 1);
+    pack::ChunkMap& cm = *info.EnsureChunkMap(0);
     std::atomic<int> winners{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&] {
-        if (info.TryBeginFetch()) winners.fetch_add(1);
+        if (cm.TryClaim(0)) winners.fetch_add(1);
       });
     }
     for (auto& t : threads) t.join();

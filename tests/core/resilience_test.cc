@@ -491,7 +491,7 @@ TEST_P(ReadLadderTest, CorruptReadIsCaughtAndRestaged) {
   EXPECT_EQ(1u, world.local->injected_corruptions());
   EXPECT_EQ(1u, stats.fallbacks_corruption);
   EXPECT_EQ(1u, stats.degraded_fallbacks);
-  if (!GetParam().pack) EXPECT_EQ(1u, stats.placement.quarantined);
+  EXPECT_EQ(1u, stats.placement.quarantined);
 
   // The fallback read re-staged the copy, which serves again.
   world.monarch->DrainPlacements();

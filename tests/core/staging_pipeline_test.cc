@@ -236,8 +236,9 @@ TEST_F(StagingPipelineTest, ChunkedCopyMatchesFullBufferCrc) {
   ASSERT_EQ(PlacementState::kPlaced, chunked->state.load());
 
   // Incremental CRC over chunk boundaries == one-shot CRC of the file.
-  EXPECT_EQ(Crc32c(Bytes(payload)), full->staged_crc.load());
-  EXPECT_EQ(full->staged_crc.load(), chunked->staged_crc.load());
+  EXPECT_EQ(Crc32c(Bytes(payload)), full->chunk_map()->Meta(0).crc_logical);
+  EXPECT_EQ(full->chunk_map()->Meta(0).crc_logical,
+            chunked->chunk_map()->Meta(0).crc_logical);
 
   std::vector<std::byte> staged(payload.size());
   ASSERT_OK(cache_engines_[0]->Read("chunked", 0, staged));
@@ -272,6 +273,32 @@ TEST_F(StagingPipelineTest, PeakStagingMemoryBoundedByPool) {
             handler_->buffer_pool().capacity_bytes())
       << "staging memory must stay within staging_buffer_bytes";
   EXPECT_EQ(8u * 16 * 1024, handler_->Stats().bytes_staged);
+}
+
+TEST_F(StagingPipelineTest, VerifiedReadBackStreamsWithinPool) {
+  // One whole-file chunk 16x larger than a pooled buffer, staged with
+  // write verification on: the copy and its read-back both stream
+  // through the pool, one buffer-sized slice at a time.
+  PlacementOptions options;
+  options.staging_buffer_bytes = 2048;  // pool: 2 x 1 KiB buffers
+  options.staging_chunk_bytes = 1024;
+  Build({1 << 20}, options, /*num_threads=*/1);
+
+  const std::string payload(16 * 1024, 'v');
+  auto file = AddPfsFile("big", payload);
+  Stage(file, std::nullopt);
+  handler_->Drain();
+
+  ASSERT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_LE(handler_->buffer_pool().peak_in_use_bytes(), 2048u)
+      << "staging memory must stay within staging_buffer_bytes";
+  const auto readback = cache_engines_[0]->Stats().Snapshot();
+  EXPECT_EQ(16u, readback.read_ops) << "the read-back reads 1 KiB slices";
+  EXPECT_EQ(payload.size(), readback.bytes_read);
+  EXPECT_EQ(16u, handler_->Stats().chunks_copied);
+  std::vector<std::byte> staged(payload.size());
+  ASSERT_OK(cache_engines_[0]->Read("big", 0, staged));
+  EXPECT_EQ(payload, Text(staged));
 }
 
 TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
@@ -467,7 +494,7 @@ TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
   std::vector<std::byte> staged(payload.size());
   ASSERT_OK(cache_engines_[0]->Read("f", 0, staged));
   EXPECT_EQ(payload, Text(staged));
-  EXPECT_EQ(Crc32c(Bytes(payload)), file->staged_crc.load())
+  EXPECT_EQ(Crc32c(Bytes(payload)), file->chunk_map()->Meta(0).crc_logical)
       << "CRC must accumulate over donated and streamed chunks alike";
 }
 

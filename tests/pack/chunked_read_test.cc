@@ -135,6 +135,28 @@ TEST_F(ChunkedReadTest, SparseReadsStageOnlyTouchedChunks) {
   EXPECT_EQ(spec_.num_files, stats.pack_logical_files);
 }
 
+// A cold offset-0 read of a whole multi-chunk file donates its bytes to
+// every chunk's copy: staging reads nothing more from the PFS, with the
+// codec off and on.
+TEST_F(ChunkedReadTest, ColdWholeFileReadDonatesEveryChunk) {
+  for (const std::string codec : {"none", "lz"}) {
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    const std::vector<std::byte> whole = Expected(0);
+    ASSERT_GT(whole.size(), 2 * 1024u) << "the file must span several chunks";
+    const auto before = pfs_->Stats().Snapshot();
+    ExpectSliceMatches(**monarch, 0, 0, whole.size());
+    monarch.value()->DrainPlacements();
+    const auto delta = pfs_->Stats().Snapshot() - before;
+    const MonarchStats stats = monarch.value()->Stats();
+    EXPECT_EQ((whole.size() + 1023) / 1024, stats.placement.chunks_staged)
+        << codec;
+    EXPECT_EQ(whole.size(), delta.bytes_read)
+        << codec << ": staging must not re-read the donated bytes";
+    EXPECT_EQ(whole.size(), stats.placement.donated_bytes) << codec;
+  }
+}
+
 TEST_F(ChunkedReadTest, CompressedChunksShrinkTierFootprint) {
   auto monarch = Build("lz");
   ASSERT_OK(monarch);

@@ -18,11 +18,12 @@ TEST(RateLimiterTest, BurstPassesImmediately) {
 }
 
 TEST(RateLimiterTest, DeficitProducesProportionalWait) {
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/1000.0, /*burst=*/10.0);
   limiter.Acquire(10.0);  // exhaust burst
-  // 500 tokens over at 1000/s -> ~0.5 s wait.
-  const Duration wait = limiter.Reserve(500.0);
-  EXPECT_NEAR(0.5, ToSeconds(wait), 0.05);
+  EXPECT_EQ(kZeroDuration, clock.Elapsed());
+  // 500 tokens over at 1000/s -> a 0.5 s wait.
+  EXPECT_EQ(Millis(500), limiter.Reserve(500.0));
 }
 
 TEST(RateLimiterTest, ZeroTokensFree) {
@@ -41,13 +42,13 @@ TEST(RateLimiterTest, RefillsOverTime) {
 }
 
 TEST(RateLimiterTest, SetRateTakesEffect) {
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/100.0, /*burst=*/1.0);
   limiter.SetRate(10000.0);
   EXPECT_DOUBLE_EQ(10000.0, limiter.rate_per_sec());
   limiter.Acquire(1.0);
-  const Duration wait = limiter.Reserve(100.0);
-  // 100 tokens at 10000/s -> ~10ms, not ~1s.
-  EXPECT_LT(ToSeconds(wait), 0.1);
+  // 100 tokens at 10000/s -> 10 ms, not the old rate's 1 s.
+  EXPECT_EQ(Millis(10), limiter.Reserve(100.0));
 }
 
 TEST(RateLimiterTest, SustainedThroughputMatchesRate) {
@@ -85,11 +86,12 @@ TEST(RateLimiterTest, BurstCapClampsIdleRefill) {
 }
 
 TEST(RateLimiterTest, DefaultBurstIsTwentiethOfRate) {
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/2000.0);  // default burst = 100 tokens
   EXPECT_EQ(kZeroDuration, limiter.Reserve(100.0));
-  // The bucket is now empty (modulo a sliver of refill); the next 100
-  // tokens owe close to a full bucket of debt at 2000/s -> ~50ms.
-  EXPECT_GT(ToSeconds(limiter.Reserve(100.0)), 0.02);
+  // The bucket is now empty; the next 100 tokens owe a full bucket of
+  // debt at 2000/s -> 50 ms.
+  EXPECT_EQ(Millis(50), limiter.Reserve(100.0));
 }
 
 TEST(RateLimiterTest, RefillRoundingAccumulatesSmallSlices) {
@@ -108,11 +110,11 @@ TEST(RateLimiterTest, SetRateRescalesDefaultBurstAndClampsBalance) {
   // rate-down, and the already-banked balance must be clamped to it —
   // otherwise every rate change leaves a stale free bucket behind (the
   // per-tenant QoS limiters are re-rated constantly).
+  testing::ManualClock clock;
   RateLimiter limiter(/*rate=*/100000.0);
   limiter.SetRate(1000.0);  // new default burst: 50 tokens
   EXPECT_EQ(kZeroDuration, limiter.Reserve(50.0));
-  const Duration wait = limiter.Reserve(200.0);
-  EXPECT_GT(ToSeconds(wait), 0.1);  // ~200/1000 s of debt, not free
+  EXPECT_EQ(Millis(200), limiter.Reserve(200.0));  // 200/1000 s of debt
 }
 
 TEST(RateLimiterTest, SetRateKeepsExplicitBurst) {

@@ -65,6 +65,23 @@ TEST(ResultTest, HoldsStatus) {
   EXPECT_EQ(7, result.value_or(7));
 }
 
+TEST(ResultTest, StatusIsBorrowedFromLvaluesAndMovedFromRvalues) {
+  Result<int> failed = NotFoundError(std::string(64, 'x'));
+  // An lvalue lends its error: no copy of the message per check.
+  EXPECT_EQ(&failed.status(), &failed.status());
+  EXPECT_EQ(failed.status().message().data(),
+            failed.status().message().data());
+  // An rvalue hands it over.
+  const char* message = failed.status().message().data();
+  const Status taken = std::move(failed).status();
+  EXPECT_EQ(StatusCode::kNotFound, taken.code());
+  EXPECT_EQ(message, taken.message().data());
+
+  Result<int> held(1);
+  EXPECT_TRUE(held.status().ok());
+  EXPECT_TRUE(std::move(held).status().ok());
+}
+
 TEST(ResultTest, MoveOnlyValueWorks) {
   Result<std::unique_ptr<int>> result(std::make_unique<int>(9));
   ASSERT_TRUE(result.ok());
