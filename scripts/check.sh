@@ -57,3 +57,10 @@ echo "benches (quick pass):"
 MONARCH_BENCH_RUNS=1 MONARCH_BENCH_SCALE=0.15 MONARCH_BENCH_EPOCHS=2 \
   bash -c 'for b in build/bench/*; do "$b"; done' > /dev/null
 echo "ALL CHECKS PASSED"
+
+# Code size, so a change can state its src/ and tools/ line deltas.
+for dir in src tools; do
+  lines=$(find "$dir" -name '*.h' -o -name '*.cc' -o -name '*.cpp' |
+          xargs cat | wc -l)
+  echo "lines of .h/.cc/.cpp in $dir/: $lines"
+done

@@ -20,15 +20,6 @@ constexpr auto kMaxDrainBackoff = std::chrono::milliseconds(16);
 
 }  // namespace
 
-const char* CkptStateName(CkptState state) noexcept {
-  switch (state) {
-    case CkptState::kLocal: return "local";
-    case CkptState::kDraining: return "draining";
-    case CkptState::kDurable: return "durable";
-  }
-  return "unknown";
-}
-
 CheckpointManager::CheckpointManager(core::StorageHierarchy& hierarchy,
                                      CheckpointOptions options,
                                      core::PlacementPolicyPtr policy)

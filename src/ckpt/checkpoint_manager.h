@@ -63,8 +63,6 @@ enum class CkptState {
   kDurable,   ///< PFS copy complete and CRC-verified
 };
 
-[[nodiscard]] const char* CkptStateName(CkptState state) noexcept;
-
 struct CheckpointOptions {
   /// Namespace prefix for checkpoint data and the manifest on every tier.
   std::string dir = "ckpt";
@@ -130,7 +128,7 @@ class CheckpointManager final : public core::CheckpointSink {
     std::uint64_t local_bytes = 0;       ///< quota held by live local copies
   };
 
-  /// One manifest entry as reported by `monarchctl ckpt-status`.
+  /// One manifest entry, as ManifestView() reports it.
   struct EntryView {
     std::uint64_t gen = 0;
     std::string name;

@@ -489,8 +489,6 @@ DirectoryNodeStats FileDirectory::StatsFor(int node) const {
   DirectoryNodeStats stats;
   stats.node = node;
   if (node < 0 || node >= num_nodes_) return stats;
-  stats.state = StateOf(node);
-  stats.restage_pending = RestageQueueDepth(node);
   stats.remote_hits = remote_hits_[static_cast<std::size_t>(node)]->load(
       std::memory_order_relaxed);
   map_.ForEach([&](const std::string& name, const Entry& entry) {

@@ -74,17 +74,13 @@ struct ReplicationHealth {
   std::uint64_t unhosted = 0;      ///< no live copy at all (PFS only)
 };
 
-/// Per-node view of the directory for status tooling (monarchctl
-/// peer-status / cluster-status): how much of the namespace the node
-/// owns, how many copies it currently holds, how often peers pulled from
-/// it, and its membership/repair state.
+/// Per-node view of the directory: how much of the namespace the node
+/// owns, how many copies it holds and how often peers pulled from it.
 struct DirectoryNodeStats {
   int node = 0;
   std::uint64_t owned = 0;        ///< entries whose primary owner is node
   std::uint64_t placed = 0;       ///< entries node currently holds
   std::uint64_t remote_hits = 0;  ///< peer reads served from node's copy
-  NodeState state = NodeState::kUp;
-  std::uint64_t restage_pending = 0;  ///< repair tasks queued for node
 };
 
 class FileDirectory {

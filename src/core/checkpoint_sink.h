@@ -3,15 +3,15 @@
 // MONARCH (§II, §V) manages only the read path; real training jobs also
 // write periodic model checkpoints, and on a shared cluster that write
 // burst lands on the same contended PFS the reads are fleeing. This
-// interface is what the trainer (dlsim) and the POSIX shim program
-// against: `Save` must make the checkpoint recoverable (crash-consistent
-// commit), `Flush` must make everything saved so far durable on the PFS.
+// interface is what the trainer (dlsim) programs against: `Save` must
+// make the checkpoint recoverable (crash-consistent commit), `Flush`
+// must make everything saved so far durable on the PFS.
 //
 // Implementations live in src/ckpt/ — `CheckpointManager` (write-back:
 // land on the fastest local tier, drain to the PFS asynchronously) and
 // `DirectPfsSink` (write-through baseline the benches compare against).
-// The interface lives in core so core's posix_shim can accept a sink
-// without a core -> ckpt dependency cycle.
+// The interface lives in core so a caller that only saves and restores
+// (the trainer, a test double) does not depend on src/ckpt.
 #pragma once
 
 #include <cstddef>

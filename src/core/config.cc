@@ -163,89 +163,6 @@ Status ApplyPlacementKey(ParsedConfig& config, const std::string& key,
   return Status::Ok();
 }
 
-Status ApplyPeerKey(ParsedPeer& peer, const std::string& key,
-                    const std::string& value, int line_no) {
-  if (key == "enabled") {
-    MONARCH_ASSIGN_OR_RETURN(peer.enabled, ParseBool(value, line_no));
-  } else if (key == "interconnect_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(peer.interconnect_bandwidth_bps,
-                             ParseByteSize(value));
-  } else if (key == "interconnect_latency_us") {
-    MONARCH_ASSIGN_OR_RETURN(peer.interconnect_latency_us,
-                             ParseU64(value, line_no));
-  } else if (key == "directory_shards") {
-    MONARCH_ASSIGN_OR_RETURN(peer.directory_shards, ParseU64(value, line_no));
-  } else if (key == "replication") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": replication must be >= 1");
-    }
-    peer.replication = static_cast<int>(n);
-  } else if (key == "restage_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(peer.restage_bandwidth_bps,
-                             ParseByteSize(value));
-  } else if (key == "max_failover_holders") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": max_failover_holders must be >= 1");
-    }
-    peer.max_failover_holders = static_cast<int>(n);
-  } else if (key == "quarantine_failures") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": quarantine_failures must be >= 1");
-    }
-    peer.quarantine_failures = static_cast<int>(n);
-  } else if (key == "churn_detection_lag_us") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_detection_lag_us,
-                             ParseU64(value, line_no));
-  } else if (key == "churn_random_kills") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_random_kills,
-                             ParseU64(value, line_no));
-  } else if (key == "churn_seed") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_seed, ParseU64(value, line_no));
-  } else {
-    return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown peer key '" + key + "'");
-  }
-  return Status::Ok();
-}
-
-Status ApplyCheckpointKey(ParsedCheckpoint& ckpt, const std::string& key,
-                          const std::string& value, int line_no) {
-  if (key == "enabled") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.enabled, ParseBool(value, line_no));
-  } else if (key == "dir") {
-    if (value.empty()) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": checkpoint dir must be non-empty");
-    }
-    ckpt.dir = value;
-  } else if (key == "keep_last") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    ckpt.keep_last = static_cast<int>(n);
-  } else if (key == "drain_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.drain_bandwidth_bytes_per_sec,
-                             ParseByteSize(value));
-  } else if (key == "drain_threads") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": drain_threads must be >= 1");
-    }
-    ckpt.drain_threads = static_cast<int>(n);
-  } else if (key == "verify_on_restore") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.verify_on_restore, ParseBool(value, line_no));
-  } else {
-    return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown checkpoint key '" + key + "'");
-  }
-  return Status::Ok();
-}
-
 Status ApplyPackKey(pack::PackOptions& pack, const std::string& key,
                     const std::string& value, int line_no) {
   if (key == "enabled") {
@@ -265,12 +182,6 @@ Status ApplyPackKey(pack::PackOptions& pack, const std::string& key,
                                   codec.status().message());
     }
     pack.codec = value;
-  } else if (key == "pack_extent_bytes") {
-    MONARCH_ASSIGN_OR_RETURN(pack.pack_extent_bytes, ParseByteSize(value));
-    if (pack.pack_extent_bytes == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": pack_extent_bytes must be >= 1");
-    }
   } else {
     return InvalidArgumentError("line " + std::to_string(line_no) +
                                 ": unknown pack key '" + key + "'");
@@ -290,19 +201,6 @@ Status ApplyQosKey(qos::QosOptions& q, const std::string& key,
     MONARCH_ASSIGN_OR_RETURN(q.scan_weight, ParseDouble(value, line_no));
   } else if (key == "drain_weight") {
     MONARCH_ASSIGN_OR_RETURN(q.drain_weight, ParseDouble(value, line_no));
-  } else if (key == "tenant_share") {
-    MONARCH_ASSIGN_OR_RETURN(q.tenant_share, ParseDouble(value, line_no));
-  } else if (key == "total_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t bps, ParseByteSize(value));
-    q.total_bandwidth_bps = static_cast<double>(bps);
-  } else if (key == "admission_queue_threshold") {
-    MONARCH_ASSIGN_OR_RETURN(q.admission_queue_threshold,
-                             ParseDouble(value, line_no));
-  } else if (key == "admission_reject_threshold") {
-    MONARCH_ASSIGN_OR_RETURN(q.admission_reject_threshold,
-                             ParseDouble(value, line_no));
-  } else if (key == "work_conserving") {
-    MONARCH_ASSIGN_OR_RETURN(q.work_conserving, ParseBool(value, line_no));
   } else if (key == "scan_stage_cap") {
     MONARCH_ASSIGN_OR_RETURN(q.scan_stage_cap_bytes, ParseByteSize(value));
   } else {
@@ -359,8 +257,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
     kPfs,
     kPlacement,
     kResilience,
-    kPeer,
-    kCheckpoint,
     kRead,
     kPack,
     kQos
@@ -395,10 +291,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
         section = Section::kPlacement;
       } else if (name == "resilience") {
         section = Section::kResilience;
-      } else if (name == "peer") {
-        section = Section::kPeer;
-      } else if (name == "checkpoint") {
-        section = Section::kCheckpoint;
       } else if (name == "read") {
         section = Section::kRead;
       } else if (name == "pack") {
@@ -460,14 +352,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
       case Section::kResilience:
         MONARCH_RETURN_IF_ERROR(
             ApplyResilienceKey(config.resilience, key, value, line_no));
-        break;
-      case Section::kPeer:
-        MONARCH_RETURN_IF_ERROR(
-            ApplyPeerKey(config.peer, key, value, line_no));
-        break;
-      case Section::kCheckpoint:
-        MONARCH_RETURN_IF_ERROR(
-            ApplyCheckpointKey(config.checkpoint, key, value, line_no));
         break;
       case Section::kRead:
         MONARCH_RETURN_IF_ERROR(
@@ -613,41 +497,18 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"resilience", "verify_on_read", "false"},
       {"resilience", "max_placement_attempts", "3"},
       {"resilience", "restage_after_quarantine", "true"},
-      {"peer", "enabled", "true"},
-      {"peer", "interconnect_bandwidth", "1200MiB"},
-      {"peer", "interconnect_latency_us", "150"},
-      {"peer", "directory_shards", "16"},
-      {"peer", "replication", "1"},
-      {"peer", "restage_bandwidth", "0"},
-      {"peer", "max_failover_holders", "2"},
-      {"peer", "quarantine_failures", "3"},
-      {"peer", "churn_detection_lag_us", "0"},
-      {"peer", "churn_random_kills", "0"},
-      {"peer", "churn_seed", "42"},
       {"pack", "enabled", "true"},
       {"pack", "chunk_bytes", "256KiB"},
       {"pack", "codec", "lz"},
-      {"pack", "pack_extent_bytes", "64MiB"},
       {"qos", "enabled", "true"},
       {"qos", "interactive_weight", "8"},
       {"qos", "training_weight", "4"},
       {"qos", "scan_weight", "2"},
       {"qos", "drain_weight", "1"},
-      {"qos", "tenant_share", "1.0"},
-      {"qos", "total_bandwidth", "400MiB"},
-      {"qos", "admission_queue_threshold", "0.85"},
-      {"qos", "admission_reject_threshold", "1.5"},
-      {"qos", "work_conserving", "true"},
       {"qos", "scan_stage_cap", "64MiB"},
       {"read", "ring_depth", "256"},
       {"read", "worker_threads", "2"},
       {"read", "zero_copy", "true"},
-      {"checkpoint", "enabled", "true"},
-      {"checkpoint", "dir", "ckpt"},
-      {"checkpoint", "keep_last", "3"},
-      {"checkpoint", "drain_bandwidth", "200MiB"},
-      {"checkpoint", "drain_threads", "1"},
-      {"checkpoint", "verify_on_restore", "true"},
   };
 }
 

@@ -239,7 +239,7 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   const std::string& dataset_dir = monarch->config_.dataset_dir;
   Result<std::uint64_t> populated = RetryWithBackoff(
       monarch->config_.resilience.retry,
-      std::hash<std::string>{}(dataset_dir),
+      [&] { return std::hash<std::string>{}(dataset_dir); },
       [&] {
         return monarch->metadata_.Populate(monarch->hierarchy_->Pfs().engine(),
                                            dataset_dir,

@@ -267,10 +267,6 @@ class Monarch {
   [[nodiscard]] const MetadataContainer& metadata() const noexcept {
     return metadata_;
   }
-  /// The active placement policy (monarchctl stage-status, tests).
-  [[nodiscard]] const PlacementPolicy& policy() const noexcept {
-    return placement_->policy();
-  }
   [[nodiscard]] StorageHierarchy& hierarchy() noexcept { return *hierarchy_; }
 
   /// The loaded pack index, or null when the dataset directory carries

@@ -1015,7 +1015,6 @@ PlacementStats PlacementHandler::Stats() const {
     s.queue_depth_prefetch =
         queue_.class_depth(qos::ClassIndex(qos::IoClass::kPrefetch)) +
         deferred_.size();
-    s.inflight_bytes_per_level = inflight_bytes_;
     for (const std::uint64_t bytes : inflight_bytes_) s.inflight_bytes += bytes;
   }
   s.buffer_pool_used_bytes = pool_.in_use_bytes();

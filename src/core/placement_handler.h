@@ -168,9 +168,6 @@ struct PlacementStats {
   std::uint64_t queue_depth_demand = 0;  ///< gauge: demand tasks waiting
   std::uint64_t queue_depth_prefetch = 0; ///< gauge: prefetch waiting+parked
   std::uint64_t inflight_bytes = 0;      ///< gauge: bytes being copied now
-  /// Per-hierarchy-level breakdown of `inflight_bytes` (monarchctl
-  /// stage-status; the in-flight cap is enforced per tier).
-  std::vector<std::uint64_t> inflight_bytes_per_level;
   std::uint64_t buffer_pool_used_bytes = 0;      ///< gauge
   std::uint64_t buffer_pool_capacity_bytes = 0;  ///< gauge
 
@@ -288,10 +285,6 @@ class PlacementHandler {
   /// Forward one demand access to the policy (offset-0 reads only — the
   /// policy sees file visits, not chunks).
   void NoteAccess(const FileInfo& file);
-
-  [[nodiscard]] const PlacementPolicy& policy() const noexcept {
-    return *policy_;
-  }
 
   /// Stop scheduling new placements (e.g. the integration layer signals
   /// the end of epoch 1 when tiers filled); in-flight tasks finish.

@@ -86,19 +86,23 @@ template <typename T>
 
 /// Runs `op` (returning Status or Result<T>) until it does not fail
 /// retryably or the Backoff schedule runs out, sleeping each delay on the
-/// process clock after `on_retry(outcome)`. A template: the read path
-/// pays no std::function and no allocation.
-template <typename Op, typename OnRetry>
-auto RetryWithBackoff(const RetryPolicy& policy, std::uint64_t salt, Op&& op,
+/// process clock after `on_retry(outcome)`. `salt()` and the Backoff are
+/// only built on the first retryable failure, so an operation that
+/// succeeds first time pays for neither. A template: the read path pays
+/// no std::function and no allocation.
+template <typename SaltFn, typename Op, typename OnRetry>
+auto RetryWithBackoff(const RetryPolicy& policy, SaltFn&& salt, Op&& op,
                       OnRetry&& on_retry) {
-  Backoff backoff(policy, salt);
+  auto outcome = op();
+  if (!IsRetryableError(outcome)) return outcome;
+  Backoff backoff(policy, salt());
   for (;;) {
-    auto outcome = op();
-    if (!IsRetryableError(outcome)) return outcome;
     const std::optional<Duration> delay = backoff.NextDelay();
     if (!delay.has_value()) return outcome;
     on_retry(outcome);
     ProcessClock().SleepFor(*delay);
+    outcome = op();
+    if (!IsRetryableError(outcome)) return outcome;
   }
 }
 

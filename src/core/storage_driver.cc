@@ -49,9 +49,12 @@ template <typename Op>
 auto StorageDriver::Retried(std::string_view path, Op op) {
   // Salt the jitter stream per (tier, file) so concurrent retries across
   // files don't sleep in lockstep, while staying deterministic per run.
-  // Hashes are combined instead of concatenated — no per-op allocation.
-  const std::uint64_t salt = std::hash<std::string>{}(name_) ^
-                             std::hash<std::string_view>{}(path);
+  // Hashes are combined instead of concatenated — no allocation — and
+  // only computed once an attempt has failed.
+  const auto salt = [&] {
+    return std::hash<std::string>{}(name_) ^
+           std::hash<std::string_view>{}(path);
+  };
   auto tracked = [&] {
     auto outcome = op();
     // kNotFound etc. are misses, not tier failures — don't poison the

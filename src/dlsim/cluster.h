@@ -71,8 +71,8 @@ struct ClusterConfig {
   int placement_threads = 6;
   std::uint64_t seed = 1;
 
-  /// Cooperative peer caching (ISSUE 4; `[peer]` in the INI dialect).
-  /// When set (monarch jobs only), the K nodes share one cluster
+  /// Cooperative peer caching (set in C++; the INI dialect has no
+  /// `[peer]` section). When set (monarch jobs only), the K nodes share one cluster
   /// FileDirectory: each stages only its consistent-hash shard of the
   /// dataset, and demand reads of the other shards go to the owning
   /// node's local tier over a simulated interconnect before falling back
@@ -84,7 +84,7 @@ struct ClusterConfig {
   std::size_t directory_shards = 16;
   int peer_replication = 1;
 
-  /// Node churn (ISSUE 7; `[peer]` churn_* keys). While a node is down
+  /// Node churn. While a node is down
   /// its reads gate — the trainer pauses and resumes on revive — so every
   /// job still consumes every sample and per-epoch digests stay
   /// comparable against a churn-free run. Killed nodes vanish from

@@ -1,7 +1,8 @@
-// QosOptions: engine-free knobs of the multi-tenant QoS layer (ISSUE
-// 10; `[qos]` in the INI dialect). Carried inside PlacementOptions so
-// the staging pipeline, the eviction path and the config parser share
-// one source of truth.
+// QosOptions: engine-free knobs of the multi-tenant QoS layer. Carried
+// inside PlacementOptions so the staging pipeline, the eviction path and
+// the config parser share one source of truth. The `[qos]` INI section
+// sets `enabled`, the class weights and `scan_stage_cap_bytes`; the
+// broker and admission fields are set in C++ (dlsim::ClusterConfig).
 #pragma once
 
 #include <cstdint>

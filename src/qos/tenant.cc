@@ -6,22 +6,6 @@ namespace {
 thread_local const TenantContext* g_current_tenant = nullptr;
 }  // namespace
 
-const char* IoClassName(IoClass io_class) noexcept {
-  switch (io_class) {
-    case IoClass::kInteractive:
-      return "interactive";
-    case IoClass::kTraining:
-      return "training";
-    case IoClass::kScan:
-      return "scan";
-    case IoClass::kDrain:
-      return "drain";
-    case IoClass::kPrefetch:
-      return "prefetch";
-  }
-  return "unknown";
-}
-
 const TenantContext* CurrentTenant() noexcept { return g_current_tenant; }
 
 ScopedTenant::ScopedTenant(const TenantContext& tenant) noexcept

@@ -38,8 +38,6 @@ enum class IoClass {
 
 inline constexpr int kNumIoClasses = 5;
 
-[[nodiscard]] const char* IoClassName(IoClass io_class) noexcept;
-
 /// Index helper for per-class arrays.
 [[nodiscard]] constexpr int ClassIndex(IoClass io_class) noexcept {
   return static_cast<int>(io_class);

@@ -167,6 +167,7 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   EXPECT_EQ(2 * owned0, stats1.levels[peer].reads);
   EXPECT_EQ(0u, stats0.degraded_fallbacks);
   EXPECT_EQ(0u, stats1.degraded_fallbacks);
+  EXPECT_GT(world.group->network()->transfers(), 0u);
   EXPECT_EQ(owned1 + 2 * owned0, world.group->network()->transfers());
   EXPECT_EQ((owned1 + 2 * owned0) * kFileBytes,
             world.group->network()->bytes_transferred());

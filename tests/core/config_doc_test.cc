@@ -120,8 +120,8 @@ TEST(ConfigDocTest, EveryCatalogueSampleParses) {
   EXPECT_EQ(parsed->policy_knobs.hotspot_decay_interval, 256u);
   EXPECT_EQ(parsed->policy_knobs.clairvoyant_protect_window, 64u);
   ASSERT_EQ(parsed->cache_tiers.size(), 1u);
-  EXPECT_TRUE(parsed->peer.enabled);
-  EXPECT_TRUE(parsed->checkpoint.enabled);
+  EXPECT_TRUE(parsed->pack.enabled);
+  EXPECT_TRUE(parsed->qos.enabled);
 }
 
 /// Unknown keys stay hard errors in every section — the property the
@@ -136,8 +136,8 @@ TEST(ConfigDocTest, UnknownKeysAreRejectedPerSection) {
       "[pfs]\n"
       "profile = ram\n";
   for (const std::string section :
-       {"monarch", "tier.0", "pfs", "placement", "resilience", "peer",
-        "checkpoint", "qos"}) {
+       {"monarch", "tier.0", "pfs", "placement", "resilience", "read",
+        "pack", "qos"}) {
     const std::string ini =
         base + "[" + section + "]\nno_such_key = 1\n";
     const auto parsed = ParseConfig(ini);

@@ -33,6 +33,27 @@ root = /tmp/unused/pfs
 seed = 42
 )";
 
+constexpr const char* kMinimalIni =
+    "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
+    "[pfs]\nprofile=raw\nroot=/p\n";
+
+/// True when the key catalogue offers any key of `section`.
+bool CatalogueHasSection(const std::string& section) {
+  for (const ConfigKeyInfo& info : ConfigKeyCatalogue()) {
+    if (info.section == section) return true;
+  }
+  return false;
+}
+
+/// Expects `ini` to fail to parse because of an unknown section.
+void ExpectUnknownSection(const std::string& ini) {
+  auto parsed = ParseConfig(ini);
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, parsed);
+  EXPECT_NE(std::string::npos,
+            parsed.status().message().find("unknown section"))
+      << parsed.status();
+}
+
 TEST(ParseConfigTest, ParsesValidIni) {
   auto parsed = ParseConfig(kValidIni);
   ASSERT_OK(parsed);
@@ -81,6 +102,25 @@ TEST(ParseConfigTest, RejectsUnknownKeysAndSections) {
                   "[tier.0]\nprofile=ram\nquota=1KiB\n[pfs]\nprofile=raw\nroot=/p\n"));
   EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
                      ParseConfig("[mystery]\nx=1\n"));
+
+  // Keys that nothing in a single-process run reads are not accepted:
+  // the broker/admission [qos] knobs are set in C++ by
+  // dlsim::ClusterConfig, and the pack extent size by SmallFileSpec. The
+  // [peer] and [checkpoint] sections have their own cases below.
+  for (const char* tail : {
+           "[qos]\ntenant_share = 1.0\n",
+           "[qos]\ntotal_bandwidth = 400MiB\n",
+           "[qos]\nadmission_queue_threshold = 0.85\n",
+           "[qos]\nadmission_reject_threshold = 1.5\n",
+           "[qos]\nwork_conserving = true\n",
+           "[pack]\npack_extent_bytes = 64MiB\n",
+       }) {
+    SCOPED_TRACE(tail);
+    auto parsed = ParseConfig(std::string(kMinimalIni) + tail);
+    EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, parsed);
+    EXPECT_NE(std::string::npos,
+              parsed.status().message().find("unknown"));
+  }
 }
 
 TEST(ParseConfigTest, RejectsStructuralErrors) {
@@ -113,99 +153,65 @@ TEST(ParseConfigTest, RejectsStructuralErrors) {
                   "[tier.0]\nprofile=ram\nquota=1\n[pfs]\nprofile=raw\nroot=/p\n"));
 }
 
+// The cooperative peer cache and the write-back checkpoint manager are
+// configured in C++ (dlsim::ClusterConfig, ckpt::CheckpointOptions), not
+// from the INI file. A config file therefore always builds a single-node
+// hierarchy without either, and a [peer] or [checkpoint] section fails
+// loudly instead of being accepted and ignored.
+
 TEST(ParseConfigTest, PeerSectionDisabledByDefault) {
-  auto parsed = ParseConfig(kValidIni);
+  auto parsed = ParseConfig(kMinimalIni);
   ASSERT_OK(parsed);
-  EXPECT_FALSE(parsed.value().peer.enabled);
-  EXPECT_EQ(1'200'000'000u, parsed.value().peer.interconnect_bandwidth_bps);
-  EXPECT_EQ(150u, parsed.value().peer.interconnect_latency_us);
-  EXPECT_EQ(16u, parsed.value().peer.directory_shards);
-  EXPECT_EQ(1, parsed.value().peer.replication);
+  auto config = BuildMonarchConfig(parsed.value());
+  ASSERT_OK(config);
+  EXPECT_FALSE(config.value().peer_tier.has_value());
+  EXPECT_EQ(nullptr, config.value().peer_view);
+  EXPECT_FALSE(CatalogueHasSection("peer"));
 }
 
 TEST(ParseConfigTest, ParsesPeerSection) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n"
-      "[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n"
-      "[peer]\n"
-      "enabled = true\n"
-      "interconnect_bandwidth = 2GiB\n"
-      "interconnect_latency_us = 80\n"
-      "directory_shards = 32\n"
-      "replication = 2\n");
-  ASSERT_OK(parsed);
-  EXPECT_TRUE(parsed.value().peer.enabled);
-  EXPECT_EQ(2_GiB, parsed.value().peer.interconnect_bandwidth_bps);
-  EXPECT_EQ(80u, parsed.value().peer.interconnect_latency_us);
-  EXPECT_EQ(32u, parsed.value().peer.directory_shards);
-  EXPECT_EQ(2, parsed.value().peer.replication);
+  ExpectUnknownSection(std::string(kMinimalIni) +
+                       "[peer]\n"
+                       "enabled = true\n"
+                       "interconnect_bandwidth = 2GiB\n"
+                       "interconnect_latency_us = 80\n"
+                       "directory_shards = 32\n"
+                       "replication = 2\n");
 }
 
 TEST(ParseConfigTest, RejectsBadPeerKeys) {
-  constexpr const char* kBase =
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n";
-  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
-                     ParseConfig(std::string(kBase) + "[peer]\ntypo=1\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[peer]\nreplication=0\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[peer]\nenabled=maybe\n"));
+  for (const char* tail : {"[peer]\ntypo=1\n", "[peer]\nreplication=0\n",
+                           "[peer]\nenabled=maybe\n"}) {
+    SCOPED_TRACE(tail);
+    ExpectUnknownSection(std::string(kMinimalIni) + tail);
+  }
 }
 
 TEST(ParseConfigTest, CheckpointSectionDisabledByDefault) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n");
+  auto parsed = ParseConfig(kMinimalIni);
   ASSERT_OK(parsed);
-  EXPECT_FALSE(parsed.value().checkpoint.enabled);
-  EXPECT_EQ("ckpt", parsed.value().checkpoint.dir);
-  EXPECT_EQ(0, parsed.value().checkpoint.keep_last);
-  EXPECT_EQ(0u, parsed.value().checkpoint.drain_bandwidth_bytes_per_sec);
-  EXPECT_EQ(1, parsed.value().checkpoint.drain_threads);
-  EXPECT_TRUE(parsed.value().checkpoint.verify_on_restore);
+  ASSERT_OK(BuildMonarchConfig(parsed.value()));
+  EXPECT_FALSE(CatalogueHasSection("checkpoint"));
 }
 
 TEST(ParseConfigTest, ParsesCheckpointSection) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n"
-      "[checkpoint]\n"
-      "enabled = true\n"
-      "dir = checkpoints\n"
-      "keep_last = 3\n"
-      "drain_bandwidth = 200MiB\n"
-      "drain_threads = 2\n"
-      "verify_on_restore = false\n");
-  ASSERT_OK(parsed);
-  EXPECT_TRUE(parsed.value().checkpoint.enabled);
-  EXPECT_EQ("checkpoints", parsed.value().checkpoint.dir);
-  EXPECT_EQ(3, parsed.value().checkpoint.keep_last);
-  EXPECT_EQ(200ull << 20,
-            parsed.value().checkpoint.drain_bandwidth_bytes_per_sec);
-  EXPECT_EQ(2, parsed.value().checkpoint.drain_threads);
-  EXPECT_FALSE(parsed.value().checkpoint.verify_on_restore);
+  ExpectUnknownSection(std::string(kMinimalIni) +
+                       "[checkpoint]\n"
+                       "enabled = true\n"
+                       "dir = checkpoints\n"
+                       "keep_last = 3\n"
+                       "drain_bandwidth = 200MiB\n"
+                       "drain_threads = 2\n"
+                       "verify_on_restore = false\n");
 }
 
 TEST(ParseConfigTest, RejectsBadCheckpointKeys) {
-  constexpr const char* kBase =
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n";
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ntypo=1\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ndrain_threads=0\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ndir=\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\nenabled=maybe\n"));
+  for (const char* tail :
+       {"[checkpoint]\ntypo=1\n", "[checkpoint]\ndrain_threads=0\n",
+        "[checkpoint]\ndir=\n", "[checkpoint]\nenabled=maybe\n"}) {
+    SCOPED_TRACE(tail);
+    ExpectUnknownSection(std::string(kMinimalIni) + tail);
+  }
 }
 
 TEST(BuildMonarchConfigTest, UnknownProfileRejected) {

@@ -99,6 +99,13 @@ TEST(RoundRobinPolicyTest, FallsThroughWhenPreferredFull) {
 TEST(PolicyFactoryTest, NamesAreStable) {
   EXPECT_EQ("first-fit", MakeFirstFitPolicy()->Name());
   EXPECT_EQ("round-robin", MakeRoundRobinPolicy()->Name());
+  EXPECT_FALSE(MakeFirstFitPolicy()->EvictsUnderPressure());
+
+  // The by-name factory behind `[placement] policy`.
+  auto clairvoyant = MakePlacementPolicyByName("clairvoyant");
+  ASSERT_OK(clairvoyant);
+  EXPECT_EQ("clairvoyant", clairvoyant.value()->Name());
+  EXPECT_TRUE(clairvoyant.value()->EvictsUnderPressure());
 }
 
 }  // namespace

@@ -340,25 +340,31 @@ TEST_F(ReadRingTest, PartialZeroCopyReadRespectsOffsetAndCap) {
 }
 
 TEST_F(ReadRingTest, RingStatsCountZeroCopyHits) {
-  auto monarch = Build(1 << 20, {{"f1", "counted"}});
-  ASSERT_OK(monarch);
-  Stage(**monarch, "data/f1", 7);
-  ReadRing& ring = monarch.value()->read_ring();
+  // With the zero-copy lane off, the lease op is served by a copy too.
+  for (const bool zero_copy : {true, false}) {
+    SCOPED_TRACE(zero_copy ? "zero_copy=true" : "zero_copy=false");
+    ReadRingOptions options;
+    options.zero_copy = zero_copy;
+    auto monarch = Build(1 << 20, {{"f1", "counted"}}, options);
+    ASSERT_OK(monarch);
+    Stage(**monarch, "data/f1", 7);
+    ReadRing& ring = monarch.value()->read_ring();
 
-  std::vector<std::byte> buf(7);
-  std::vector<ReadOp> ops(2);
-  ops[0].name = "data/f1";
-  ops[0].lease = true;
-  ops[1].name = "data/f1";
-  ops[1].dst = buf;
-  ASSERT_EQ(2u, ring.Submit(std::move(ops)));
-  std::vector<ReadCompletion> done;
-  while (done.size() < 2) ring.HarvestBlocking(done);
+    std::vector<std::byte> buf(7);
+    std::vector<ReadOp> ops(2);
+    ops[0].name = "data/f1";
+    ops[0].lease = true;
+    ops[1].name = "data/f1";
+    ops[1].dst = buf;
+    ASSERT_EQ(2u, ring.Submit(std::move(ops)));
+    std::vector<ReadCompletion> done;
+    while (done.size() < 2) ring.HarvestBlocking(done);
 
-  const auto stats = ring.Stats();
-  EXPECT_EQ(1u, stats.zero_copy_reads);
-  EXPECT_EQ(1u, stats.copy_reads);
-  EXPECT_DOUBLE_EQ(0.5, stats.zero_copy_hit_rate());
+    const auto stats = ring.Stats();
+    EXPECT_EQ(zero_copy ? 1u : 0u, stats.zero_copy_reads);
+    EXPECT_EQ(zero_copy ? 1u : 2u, stats.copy_reads);
+    EXPECT_DOUBLE_EQ(zero_copy ? 0.5 : 0.0, stats.zero_copy_hit_rate());
+  }
 }
 
 TEST_F(ReadRingTest, LeasePinBlocksEviction) {

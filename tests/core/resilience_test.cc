@@ -293,55 +293,69 @@ TEST(ResilienceTest, ConcurrentChunkFailuresAbandonTheFileOnce) {
 // byte-identical data, and stats that reconcile with the injected count.
 
 TEST(ResilienceTest, TrainingSurvivesProbabilisticFaultsByteIdentical) {
-  FaultyEngine::FaultSpec local_spec;
-  local_spec.read_failure_rate = 0.05;
-  local_spec.write_failure_rate = 0.05;
-  local_spec.seed = 7;
-  FaultyEngine::FaultSpec pfs_spec;
-  pfs_spec.read_failure_rate = 0.02;
-  pfs_spec.seed = 11;
-  auto world = BuildWorld(32, local_spec, pfs_spec);
-  ASSERT_TRUE(world.monarch != nullptr);
+  // Second input: on top of the probabilistic faults, the local tier goes
+  // hard-down halfway through epoch 1 and heals at the epoch boundary.
+  for (const int outage_epoch : {-1, 1}) {
+    SCOPED_TRACE("outage_epoch=" + std::to_string(outage_epoch));
+    FaultyEngine::FaultSpec local_spec;
+    local_spec.read_failure_rate = 0.05;
+    local_spec.write_failure_rate = 0.05;
+    local_spec.seed = 7;
+    FaultyEngine::FaultSpec pfs_spec;
+    pfs_spec.read_failure_rate = 0.02;
+    pfs_spec.seed = 11;
+    auto world = BuildWorld(32, local_spec, pfs_spec);
+    ASSERT_TRUE(world.monarch != nullptr);
 
-  constexpr int kEpochs = 3;
-  std::uint64_t app_errors = 0;
-  std::uint64_t mismatches = 0;
-  std::vector<std::byte> buf(kFileBytes);
-  for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    for (const auto& name : world.names) {
-      auto read = world.monarch->Read(name, 0, buf);
-      if (!read.ok() || read.value() != kFileBytes) {
-        ++app_errors;
-        continue;
+    constexpr int kEpochs = 3;
+    std::uint64_t app_errors = 0;
+    std::uint64_t mismatches = 0;
+    std::vector<std::byte> buf(kFileBytes);
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      for (std::size_t f = 0; f < world.names.size(); ++f) {
+        if (epoch == outage_epoch && f == world.names.size() / 2) {
+          world.local->FailUntilHealed();
+        }
+        const std::string& name = world.names[f];
+        auto read = world.monarch->Read(name, 0, buf);
+        if (!read.ok() || read.value() != kFileBytes) {
+          ++app_errors;
+          continue;
+        }
+        if (GoldenPayload(GoldenIndex(name)) !=
+            std::vector<std::byte>(buf.begin(), buf.end())) {
+          ++mismatches;
+        }
       }
-      if (GoldenPayload(GoldenIndex(name)) !=
-          std::vector<std::byte>(buf.begin(), buf.end())) {
-        ++mismatches;
-      }
+      if (epoch == outage_epoch) world.local->Heal();
+      world.monarch->DrainPlacements();
     }
-    world.monarch->DrainPlacements();
+
+    EXPECT_EQ(0u, app_errors);
+    EXPECT_EQ(0u, mismatches);
+
+    const auto stats = world.monarch->Stats();
+    const std::uint64_t injected =
+        world.local->injected_failures() + world.pfs->injected_failures();
+    std::uint64_t driver_retries = 0;
+    for (const auto& level : stats.levels) driver_retries += level.retries;
+
+    // The fault rates make injections statistically certain over
+    // 3 epochs x 32 files (deterministic seeds make this reproducible).
+    EXPECT_GT(injected, 0u);
+    EXPECT_GT(driver_retries, 0u);
+    if (outage_epoch >= 0) {
+      EXPECT_GT(stats.fallbacks_tier_error + stats.fallbacks_circuit_open, 0u)
+          << "the outage must reach the read path";
+    }
+
+    // Reconciliation: every injected fault was either absorbed by a
+    // driver retry or surfaced exactly once — as a PFS fallback
+    // (tier_error), a failed staging attempt, or an app-visible error
+    // (zero here). Nothing is double-counted and nothing vanishes.
+    EXPECT_EQ(injected, driver_retries + stats.fallbacks_tier_error +
+                            stats.placement.failed + app_errors);
   }
-
-  EXPECT_EQ(0u, app_errors);
-  EXPECT_EQ(0u, mismatches);
-
-  const auto stats = world.monarch->Stats();
-  const std::uint64_t injected =
-      world.local->injected_failures() + world.pfs->injected_failures();
-  std::uint64_t driver_retries = 0;
-  for (const auto& level : stats.levels) driver_retries += level.retries;
-
-  // The fault rates make injections statistically certain over
-  // 3 epochs x 32 files (deterministic seeds make this reproducible).
-  EXPECT_GT(injected, 0u);
-  EXPECT_GT(driver_retries, 0u);
-
-  // Reconciliation: every injected fault was either absorbed by a driver
-  // retry or surfaced exactly once — as a PFS fallback (tier_error), a
-  // failed staging attempt, or an app-visible error (zero here). Nothing
-  // is double-counted and nothing vanishes.
-  EXPECT_EQ(injected, driver_retries + stats.fallbacks_tier_error +
-                          stats.placement.failed + app_errors);
 }
 
 TEST(ResilienceTest, DlsimTrainingCompletesUnderFaults) {

@@ -131,6 +131,8 @@ TEST_F(ChunkedReadTest, SparseReadsStageOnlyTouchedChunks) {
       << "sparse staging must not fetch whole files";
   const MonarchStats stats = monarch.value()->Stats();
   EXPECT_EQ(spec_.num_files, stats.placement.chunks_staged);
+  EXPECT_EQ(stats.placement.bytes_staged, stats.placement.chunk_stored_bytes)
+      << "codec none stores every chunk at its logical size";
   EXPECT_GT(stats.pack_extents, 0u);
   EXPECT_EQ(spec_.num_files, stats.pack_logical_files);
 }

@@ -101,10 +101,11 @@ TEST(AdmissionTest, ShutdownReleasesQueuedWaiters) {
 TEST(AdmissionTest, StatsCountEveryDecision) {
   AdmissionController controller(Capacity(1000));
   (void)controller.Request(Job(1), 500);   // admit
-  (void)controller.Request(Job(2), 500);   // queue (500+500 > 850)
+  (void)controller.Request(Job(4), 300);   // admit (500+300 <= 850)
+  (void)controller.Request(Job(2), 500);   // queue (800+500 > 850)
   (void)controller.Request(Job(3), 5000);  // reject
   const AdmissionController::Stats stats = controller.GetStats();
-  EXPECT_EQ(1u, stats.admitted);
+  EXPECT_EQ(2u, stats.admitted);
   EXPECT_EQ(1u, stats.queued);
   EXPECT_EQ(1u, stats.rejected);
 }

@@ -89,14 +89,22 @@ TEST(QosBrokerTest, UsageTracksConsumptionAndThrottling) {
   options.total_rate_bps = 100000.0;  // burst = rate/20 = 5000
   BandwidthBroker broker(options);
   broker.RegisterTenant(MakeTenant(1, 1.0));
+  broker.RegisterTenant(MakeTenant(2, 1.0));
   broker.Acquire(1, 2000);
   broker.Acquire(1, 20000);  // far past the burst -> must throttle
+  broker.Acquire(2, 1000);   // inside its own burst -> never waits
   const auto usage_list = broker.Usage();
   const auto* usage = FindUsage(usage_list, 1);
   ASSERT_NE(nullptr, usage);
   EXPECT_EQ(22000u, usage->consumed_bytes);
   EXPECT_GE(usage->throttle_waits, 1u);
   EXPECT_GT(usage->throttled_us, 0u);
+  // The flood's throttling lands on the flooding tenant alone.
+  const auto* sipper = FindUsage(usage_list, 2);
+  ASSERT_NE(nullptr, sipper);
+  EXPECT_EQ(1000u, sipper->consumed_bytes);
+  EXPECT_EQ(0u, sipper->throttle_waits);
+  EXPECT_EQ(0u, sipper->throttled_us);
 }
 
 TEST(QosBrokerTest, UnknownTenantAutoRegistersWithDefaultWeight) {
